@@ -446,7 +446,11 @@ class HiemAgent:
         max_atomic=None,
     ):
         """Execute one option.  Returns (trace, state, obs, atomic_steps_now,
-        episode_done, success)."""
+        episode_done, success).
+
+        After each step the option stops at the first of: the goal is
+        reached, the episode's step cap is hit, the sub-goal is reached,
+        the option's step cap is hit, the termination head fires."""
         p = self.params
         if max_atomic is None:
             max_atomic = p.max_atomic
@@ -456,6 +460,7 @@ class HiemAgent:
         success = False
         done = False
         train = mode == "train"
+        s_hist = self.codec.stack_history(history)
         while True:
             frame = history[-1]
             if behavior == "random":
@@ -464,7 +469,6 @@ class HiemAgent:
                 a = self.act_proxy(frame, sg, eps_low, rng)
             else:
                 a = self.act_low(frame, g, sg, eps_low, rng)
-            s_hist = self.codec.stack_history(history)
             state2, _collided = self.world.step(state, Action(a))
             obs2 = self.world.observe(state2)
             history.append(self.codec.obs_vec(obs2))
@@ -486,8 +490,8 @@ class HiemAgent:
                 valid_after=self.space.valid_mask(obs2.visible_labels),
             )
             trace.transitions.append(tr)
-            trace.path.append((state2.pose.x, state2.pose.y))
-            state, obs = state2, obs2
+            trace.path.append(self.world.cell(state2.pose))
+            state, obs, s_hist = state2, obs2, sp_hist
             if train:
                 self.replay.push(tr)
                 self.atomic_steps_total += 1
@@ -497,12 +501,12 @@ class HiemAgent:
                 trace.stop_reason = STOP_GOAL
                 done, success = True, True
                 break
-            if subgoal_reached:
-                trace.stop_reason = STOP_SUBGOAL
-                break
             if atomic >= max_atomic:
                 trace.stop_reason = STOP_EPISODE_CAP
                 done = True
+                break
+            if subgoal_reached:
+                trace.stop_reason = STOP_SUBGOAL
                 break
             if trace.length >= p.max_low_level:
                 trace.stop_reason = STOP_STEP_CAP

@@ -112,7 +112,7 @@ class OracleAgent:
             action = oracle_policy(world, state, g)
             state, _ = world.step(state, action)
             steps += 1
-            trace.path.append((state.pose.x, state.pose.y))
+            trace.path.append(world.cell(state.pose))
         record.success = world.is_goal_state(state, g)
         record.atomic_steps = steps
         trace.stop_reason = "goal_reached" if record.success else "episode_cap"
@@ -149,7 +149,7 @@ class RandomAgent:
         while not success and steps < max_atomic:
             state, _ = world.step(state, random_policy(rng))
             steps += 1
-            trace.path.append((state.pose.x, state.pose.y))
+            trace.path.append(world.cell(state.pose))
             success = world.is_goal_state(state, g)
         record.success = success
         record.atomic_steps = steps
@@ -244,8 +244,8 @@ class FlatDqnAgent:
         trace = OptionTrace(sg=0, sg_name="dqn", behavior="low")
         steps = 0
         success = False
+        hist_vec = self.codec.stack_history(history)
         while True:
-            hist_vec = self.codec.stack_history(history)
             a = self.act(hist_vec, g, eps, rng)
             state2, _ = world.step(state, Action(a))
             obs2 = world.observe(state2)
@@ -261,8 +261,8 @@ class FlatDqnAgent:
                 r_e=1.0 if goal_reached else 0.0,
                 goal_reached=goal_reached,
             )
-            trace.path.append((state2.pose.x, state2.pose.y))
-            state = state2
+            trace.path.append(world.cell(state2.pose))
+            state, hist_vec = state2, sp_hist
             if mode == "train":
                 self.replay.push(tr)
                 self.atomic_steps_total += 1

@@ -52,8 +52,11 @@ class FeatureCodec:
         return h
 
     def stack_history(self, history: deque) -> np.ndarray:
-        # oldest frame first, current frame last
-        return np.concatenate(list(history))
+        # oldest frame first, current frame last; read-only, so that
+        # consecutive transitions can share one stacked history
+        out = np.concatenate(list(history))
+        out.setflags(write=False)
+        return out
 
     def current_frame(self, hist_vec: np.ndarray) -> np.ndarray:
         return hist_vec[-self.frame_dim:]

@@ -9,7 +9,7 @@ collision, turns always succeed.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, Optional
 
@@ -181,6 +181,11 @@ class World:
 
     Episode state lives in the small `State` value passed in and out of the
     step functions, so many episodes can run concurrently on one World.
+
+    Every answer that depends only on the pose is computed on first use and
+    kept in a table: the transitions under each action, the observation,
+    the labels whose goal test holds, and the distance to each label.  A
+    World must therefore not be changed after it is built.
     """
 
     def __init__(
@@ -215,6 +220,13 @@ class World:
             self._cells_by_label.setdefault(o.label, []).append(o.cell)
             if o.blocking:
                 self._blocked.add(o.cell)
+        # per-pose tables, filled on first use
+        self._cells: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per cell
+        self._moves: dict[AgentPose, tuple] = {}  # (next pose, collided) per action
+        self._views: dict[AgentPose, Observation] = {}
+        self._goals: dict[AgentPose, frozenset[int]] = {}  # labels whose goal test holds
+        self._distances: dict[int, np.ndarray] = {}  # per label, [x, y, heading]
+        self._free: Optional[tuple[tuple[int, int], ...]] = None
 
     @property
     def n_labels(self) -> int:
@@ -230,12 +242,20 @@ class World:
         return self.grid.is_free(x, y) and (x, y) not in self._blocked
 
     def free_cells(self) -> list[tuple[int, int]]:
-        return [
-            (x, y)
-            for x in range(self.grid.width)
-            for y in range(self.grid.height)
-            if self.passable(x, y)
-        ]
+        if self._free is None:
+            self._free = tuple(
+                (x, y)
+                for x in range(self.grid.width)
+                for y in range(self.grid.height)
+                if self.passable(x, y)
+            )
+        return list(self._free)
+
+    def cell(self, pose: AgentPose) -> tuple[int, int]:
+        """The (x, y) cell of `pose`, as one tuple object shared by every
+        caller, so that long episode paths hold no copies."""
+        xy = (pose.x, pose.y)
+        return self._cells.setdefault(xy, xy)
 
     # ----- episode dynamics -------------------------------------------------
 
@@ -253,18 +273,30 @@ class World:
         return State(pose=pose, steps=0)
 
     def step(self, state: State, action: Action) -> tuple[State, bool]:
-        pose = state.pose
-        action = Action(action)
-        if action in (Action.TURN_LEFT, Action.TURN_RIGHT):
-            delta = 1 if action == Action.TURN_RIGHT else -1
-            heading = Heading((pose.heading + delta) % 4)
-            new_pose = replace(pose, heading=heading)
-            return State(pose=new_pose, steps=state.steps + 1), False
-        dx, dy = _rot_vec(HEADING_VECS[pose.heading], _MOVE_ROT[action])
-        nx, ny = pose.x + dx, pose.y + dy
-        if self.passable(nx, ny):
-            return State(pose=replace(pose, x=nx, y=ny), steps=state.steps + 1), False
-        return State(pose=pose, steps=state.steps + 1), True
+        if not 0 <= action < N_ACTIONS:
+            raise ValueError(f"{action!r} is not a valid Action")
+        moves = self._moves.get(state.pose)
+        if moves is None:
+            moves = self._fill_moves(state.pose)
+        pose, collided = moves[action]
+        return State(pose=pose, steps=state.steps + 1), collided
+
+    def _fill_moves(self, pose: AgentPose) -> tuple:
+        heading = Heading(pose.heading)
+        moves = []
+        for action in Action:
+            if action in (Action.TURN_LEFT, Action.TURN_RIGHT):
+                delta = 1 if action == Action.TURN_RIGHT else -1
+                moves.append((AgentPose(pose.x, pose.y, Heading((heading + delta) % 4)), False))
+                continue
+            dx, dy = _rot_vec(HEADING_VECS[heading], _MOVE_ROT[action])
+            x, y = pose.x + dx, pose.y + dy
+            if self.passable(x, y):
+                moves.append((AgentPose(x, y, heading), False))
+            else:
+                moves.append((pose, True))
+        moves = self._moves[pose] = tuple(moves)
+        return moves
 
     # ----- observation ------------------------------------------------------
 
@@ -281,7 +313,14 @@ class World:
                 yield d, o, x, y
 
     def observe(self, state: State) -> Observation:
-        pose = state.pose
+        """The view from the state's pose.  One read-only Observation per
+        pose is shared by every caller."""
+        view = self._views.get(state.pose)
+        if view is None:
+            view = self._fill_view(state.pose)
+        return view
+
+    def _fill_view(self, pose: AgentPose) -> Observation:
         half = self.fov_width // 2
         vis = np.zeros((self.n_labels, self.fov_depth, self.fov_width), dtype=np.uint8)
         depth = np.full(self.fov_width, self.fov_depth, dtype=np.int64)
@@ -304,22 +343,32 @@ class World:
         visible = frozenset(int(l) for l in np.flatnonzero(vis.any(axis=(1, 2))))
         vis.setflags(write=False)
         depth.setflags(write=False)
-        return Observation(visibility=vis, depth=depth, visible_labels=visible)
+        view = self._views[pose] = Observation(
+            visibility=vis, depth=depth, visible_labels=visible
+        )
+        return view
 
     # ----- success predicates ----------------------------------------------
 
     def is_goal_state(self, state: State, goal_label: int) -> bool:
         """True when an instance of the label sits in the view window within
         `goal_distance` (Chebyshev) with clear line of sight."""
-        pose = state.pose
+        labels = self._goals.get(state.pose)
+        if labels is None:
+            labels = self._fill_goals(state.pose)
+        return goal_label in labels
+
+    def _fill_goals(self, pose: AgentPose) -> frozenset[int]:
         agent_cell = (pose.x, pose.y)
+        labels = set()
         for d, o, x, y in self.fov_cells(pose):
             if max(d, abs(o)) > self.goal_distance:
                 continue
             for obj in self._by_cell.get((x, y), []):
-                if obj.label == goal_label and line_of_sight(self.grid, agent_cell, (x, y)):
-                    return True
-        return False
+                if line_of_sight(self.grid, agent_cell, (x, y)):
+                    labels.add(obj.label)
+        labels = self._goals[pose] = frozenset(labels)
+        return labels
 
     # ----- exact shortest-path oracle --------------------------------------
 
@@ -354,6 +403,42 @@ class World:
         return None if path is None else len(path)
 
     def shortest_path_to_label(self, start: AgentPose, goal_label: int) -> Optional[int]:
-        return self.shortest_path_length(
-            start, lambda s: self.is_goal_state(s, goal_label)
-        )
+        """Fewest atomic actions from `start` to a goal state of the label,
+        or None when no goal state is reachable."""
+        if not self.grid.in_bounds(start.x, start.y):
+            return None  # the border is all wall: nothing past it is reached
+        field = self._distances.get(goal_label)
+        if field is None:
+            field = self._fill_distances(goal_label)
+        d = int(field[start.x, start.y, start.heading])
+        return None if d < 0 else d
+
+    def _fill_distances(self, goal_label: int) -> np.ndarray:
+        """BFS from every goal pose of the label along reversed transitions:
+        `field[x, y, heading]` is the distance from that pose, -1 where no
+        goal pose is reached.  A move only enters a passable cell and a turn
+        keeps the cell, so in-bounds poses step only to in-bounds poses and
+        this is the forward search's answer from each of them, walls and
+        blocked cells included."""
+        field = np.full((self.grid.width, self.grid.height, 4), -1, dtype=np.int32)
+        preds: dict[AgentPose, list[AgentPose]] = {}
+        q = deque()
+        for x in range(self.grid.width):
+            for y in range(self.grid.height):
+                for h in Heading:
+                    pose = AgentPose(x, y, h)
+                    for nxt, _ in self._moves.get(pose) or self._fill_moves(pose):
+                        preds.setdefault(nxt, []).append(pose)
+                    if self.is_goal_state(State(pose=pose), goal_label):
+                        field[x, y, h] = 0
+                        q.append(pose)
+        while q:
+            pose = q.popleft()
+            d = field[pose.x, pose.y, pose.heading] + 1
+            for prev in preds.get(pose, ()):
+                if field[prev.x, prev.y, prev.heading] < 0:
+                    field[prev.x, prev.y, prev.heading] = d
+                    q.append(prev)
+        field.setflags(write=False)
+        self._distances[goal_label] = field
+        return field

@@ -12,7 +12,7 @@ from hiem.baselines import (
     oracle_policy,
     random_policy,
 )
-from hiem.gridworld import AgentPose, ConfigError, EpisodeSpec, Heading, N_ACTIONS
+from hiem.gridworld import AgentPose, ConfigError, EpisodeSpec, Heading, N_ACTIONS, State
 from hiem.mapfile import parse_map_text
 from hiem.metrics import evaluate, sample_episode_specs
 
@@ -70,6 +70,20 @@ a = amp
         assert open7.is_goal_state(state, g)
         assert oracle_policy(open7, state, g) is None
 
+    def test_path_replays_bfs_with_shared_cells(self, bench15):
+        agent = OracleAgent(bench15, default_params(1))
+        for spec, minimal in sample_episode_specs(bench15, 10, seed=4):
+            rec = agent.run_episode(spec)
+            path = rec.options[0].path if rec.options else []
+            pred = lambda s: bench15.is_goal_state(s, spec.goal_label)
+            actions = bench15.shortest_path_actions(spec.start, pred)
+            assert len(actions) == len(path) == minimal
+            s = State(spec.start)
+            for a, p in zip(actions, path):
+                s, _ = bench15.step(s, a)
+                assert p == (s.pose.x, s.pose.y)
+                assert p is bench15.cell(s.pose)
+
 
 class TestRandom:
     def test_policy_uniform_chi_square(self):
@@ -92,6 +106,19 @@ class TestRandom:
         assert a.success == b.success
         assert a.atomic_steps == b.atomic_steps
         assert a.options[0].path == b.options[0].path
+
+    def test_path_replays_draws_with_shared_cells(self, bench15):
+        agent = RandomAgent(bench15, default_params(1))
+        spec = EpisodeSpec(
+            start=AgentPose(7, 6, Heading.NORTH), goal_label=0, max_atomic_steps=100
+        )
+        rec = agent.run_episode(spec, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        s = State(spec.start)
+        for p in rec.options[0].path:
+            s, _ = bench15.step(s, random_policy(rng))
+            assert p == (s.pose.x, s.pose.y)
+            assert p is bench15.cell(s.pose)
 
     def test_missing_rng_faults(self, bench15):
         agent = RandomAgent(bench15, default_params(1))
@@ -139,6 +166,25 @@ goal_distance = 1
         for r in results:
             if r.success and r.minimal_steps > 0:
                 assert r.steps <= r.minimal_steps + 6
+
+    def test_transitions_share_histories_and_paths_share_cells(self, bench15):
+        params = default_params(10, hidden=(8,), min_buffer=8, batch_size=4)
+        agent = FlatDqnAgent(bench15, params, seed=3)
+        spec = EpisodeSpec(
+            start=AgentPose(1, 1, Heading.EAST), goal_label=0, max_atomic_steps=30
+        )
+        rec = agent.run_episode(spec, mode="train", episode_idx=0)
+        trs = agent.replay.items()
+        assert len(trs) == rec.atomic_steps == len(rec.options[0].path)
+        for prev, tr in zip(trs, trs[1:]):
+            assert tr.s_hist is prev.sp_hist
+        assert all(not t.s_hist.flags.writeable and not t.sp_hist.flags.writeable
+                   for t in trs)
+        s = State(spec.start)
+        for tr, p in zip(trs, rec.options[0].path):
+            s, _ = bench15.step(s, tr.a)
+            assert p == (s.pose.x, s.pose.y)
+            assert p is bench15.cell(s.pose)
 
     def test_checkpoint_roundtrip_bitwise(self, bench15):
         params = default_params(10, hidden=(8,), min_buffer=8, batch_size=4)

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,13 +13,30 @@ from hiem.gridworld import (
     GridMap,
     Heading,
     ObjectInstance,
+    HEADING_VECS,
     State,
     World,
+    _MOVE_ROT,
+    _rot_vec,
     line_of_sight,
 )
 from hiem.mapfile import parse_map_text
 
 from conftest import los_oracle
+
+# the object room is sealed off from the left column
+SEALED = """\
+[map]
+#######
+#.#...#
+#.#.a.#
+#.#####
+#.....#
+#.....#
+#######
+[legend]
+a = amp
+"""
 
 
 def open_world(size=7, objects=(), **kw):
@@ -256,21 +274,8 @@ class TestShortestPath:
                         assert brute_force_min_steps(ray7, start, pred, 5) is None
 
     def test_sealed_goal_unreachable(self):
-        text = """\
-[map]
-#######
-#.#...#
-#.#.a.#
-#.#####
-#.....#
-#.....#
-#######
-[legend]
-a = amp
-"""
-        w = parse_map_text(text)
+        w = parse_map_text(SEALED)
         amp = w.label_names.index("amp")
-        # the object room is sealed off from the left column
         assert w.shortest_path_to_label(AgentPose(1, 1, Heading.NORTH), amp) is None
 
     def test_oracle_optimality_exhaustive_small(self, tabular5):
@@ -325,3 +330,171 @@ class TestProperties:
             for g in bench15.labels_present():
                 if bench15.is_goal_state(s, g):
                     assert space.is_achieved(bench15, s, g)
+
+
+# ----- the per-pose tables against the per-call computations they replaced --
+#
+# `World` computes each per-pose answer once and keeps it.  The functions
+# below are the computations it used to repeat on every call; the tables
+# must agree with them on every pose, action and label.
+
+def ref_step(world, state, action):
+    pose = state.pose
+    action = Action(action)
+    if action in (Action.TURN_LEFT, Action.TURN_RIGHT):
+        delta = 1 if action == Action.TURN_RIGHT else -1
+        heading = Heading((pose.heading + delta) % 4)
+        return State(pose=AgentPose(pose.x, pose.y, heading), steps=state.steps + 1), False
+    dx, dy = _rot_vec(HEADING_VECS[pose.heading], _MOVE_ROT[action])
+    nx, ny = pose.x + dx, pose.y + dy
+    if world.passable(nx, ny):
+        return State(pose=AgentPose(nx, ny, pose.heading), steps=state.steps + 1), False
+    return State(pose=pose, steps=state.steps + 1), True
+
+
+def ref_observe(world, state):
+    pose = state.pose
+    half = world.fov_width // 2
+    vis = np.zeros((world.n_labels, world.fov_depth, world.fov_width), dtype=np.uint8)
+    depth = np.full(world.fov_width, world.fov_depth, dtype=np.int64)
+    fwd = HEADING_VECS[pose.heading]
+    right = _rot_vec(fwd, 1)
+    for o in range(-half, half + 1):
+        for d in range(1, world.fov_depth + 1):
+            x = pose.x + d * fwd[0] + o * right[0]
+            y = pose.y + d * fwd[1] + o * right[1]
+            if world.grid.is_wall(x, y):
+                depth[o + half] = d
+                break
+    agent_cell = (pose.x, pose.y)
+    for d, o, x, y in world.fov_cells(pose):
+        if not world.grid.in_bounds(x, y):
+            continue
+        for obj in world.objects:
+            if obj.cell == (x, y) and line_of_sight(world.grid, agent_cell, (x, y)):
+                vis[obj.label, d - 1, o + half] = 1
+    visible = frozenset(int(l) for l in np.flatnonzero(vis.any(axis=(1, 2))))
+    return vis, depth, visible
+
+
+def ref_is_goal(world, state, goal_label):
+    pose = state.pose
+    agent_cell = (pose.x, pose.y)
+    for d, o, x, y in world.fov_cells(pose):
+        if max(d, abs(o)) > world.goal_distance:
+            continue
+        for obj in world.objects:
+            if (obj.cell == (x, y) and obj.label == goal_label
+                    and line_of_sight(world.grid, agent_cell, (x, y))):
+                return True
+    return False
+
+
+def ref_shortest_path(step, start, predicate):
+    """The forward BFS over poses, with `step(pose, action) -> pose`."""
+    if predicate(start):
+        return []
+    seen = {start}
+    q = deque([(start, [])])
+    while q:
+        pose, path = q.popleft()
+        for action in Action:
+            nxt = step(pose, action)
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            npath = path + [action]
+            if predicate(nxt):
+                return npath
+            q.append((nxt, npath))
+    return None
+
+
+def blocking_world():
+    # a blocking crate in the middle of a 7x7 room, a lamp behind it
+    return open_world(
+        objects=[ObjectInstance(0, 0, (3, 3), blocking=True), ObjectInstance(1, 1, (3, 5))],
+        label_names=["crate", "lamp"],
+    )
+
+
+def all_poses(world):
+    """Every pose on every in-bounds cell, passable or not."""
+    return [
+        AgentPose(x, y, h)
+        for x in range(world.grid.width)
+        for y in range(world.grid.height)
+        for h in Heading
+    ]
+
+
+@pytest.fixture(params=["tabular5", "open7", "ray7", "bench15", "blocking", "sealed"])
+def any_world(request):
+    if request.param == "blocking":
+        return blocking_world()
+    if request.param == "sealed":
+        return parse_map_text(SEALED)
+    return request.getfixturevalue(request.param)
+
+
+class TestTablesMatchPerCallComputation:
+    def test_step_every_pose_and_action(self, any_world):
+        w = any_world
+        for pose in all_poses(w):
+            for a in Action:
+                s = State(pose, steps=3)
+                assert w.step(s, a) == ref_step(w, s, a), (pose, a)
+                assert w.step(s, int(a)) == ref_step(w, s, a)
+
+    def test_observe_every_pose(self, any_world):
+        w = any_world
+        for pose in all_poses(w):
+            obs = w.observe(State(pose))
+            vis, depth, visible = ref_observe(w, State(pose))
+            assert obs.visibility.dtype == vis.dtype and obs.depth.dtype == depth.dtype
+            assert np.array_equal(obs.visibility, vis), pose
+            assert np.array_equal(obs.depth, depth), pose
+            assert obs.visible_labels == visible, pose
+            assert not obs.visibility.flags.writeable and not obs.depth.flags.writeable
+
+    def test_goal_test_and_distance_every_pose_and_label(self, any_world):
+        w = any_world
+        poses = all_poses(w)
+        labels = range(w.n_labels + 1)  # one label more than the map has
+        # the reference searches run on pose indices, to keep bench15 quick
+        index = {p: i for i, p in enumerate(poses)}
+        moves = [[index[ref_step(w, State(p), a)[0].pose] for a in Action] for p in poses]
+        for g in labels:
+            goal = [ref_is_goal(w, State(p), g) for p in poses]
+            for i, pose in enumerate(poses):
+                assert w.is_goal_state(State(pose), g) == goal[i], (pose, g)
+                # every start, also one World.reset rejects (a wall or a
+                # blocked cell), gets the forward search's answer
+                path = ref_shortest_path(lambda j, a: moves[j][a], i, goal.__getitem__)
+                expected = None if path is None else len(path)
+                assert w.shortest_path_to_label(pose, g) == expected, (pose, g)
+
+    def test_distance_from_off_the_map(self, any_world):
+        # the border is all wall, so a pose off the map reaches no goal
+        w = any_world
+        for pose in (AgentPose(-1, 1, Heading.EAST), AgentPose(w.grid.width, 0, Heading.WEST)):
+            for g in range(w.n_labels):
+                step = lambda p, a: ref_step(w, State(p), a)[0].pose
+                assert ref_shortest_path(step, pose, lambda p: ref_is_goal(w, State(p), g)) is None
+                assert w.shortest_path_to_label(pose, g) is None
+
+    def test_answers_are_shared(self, bench15):
+        s = State(AgentPose(7, 6, Heading.EAST))
+        assert bench15.observe(s) is bench15.observe(State(AgentPose(7, 6, Heading.EAST)))
+        s2, _ = bench15.step(s, Action.TURN_LEFT)
+        assert bench15.cell(s2.pose) is bench15.cell(AgentPose(7, 6, Heading.WEST)) == (7, 6)
+        cells = bench15.free_cells()
+        n = len(cells)
+        cells.clear()  # a caller's copy: the world's own list is untouched
+        assert len(bench15.free_cells()) == n > 0
+
+    def test_invalid_action_rejected(self, open7):
+        s = State(AgentPose(1, 1, Heading.NORTH))
+        for a in (-1, 6):
+            with pytest.raises(ValueError):
+                open7.step(s, a)

@@ -352,6 +352,25 @@ class TestRunOption:
         assert trace.length == 1
         assert trace.stop_reason == "terminated"
 
+    def test_consecutive_transitions_share_one_history(self):
+        world = corridor_world(goal_x=7)
+        ag = small_agent(world)
+        force_term(ag, 0)
+        state, obs, history, g = self._setup(ag, world, x=1, heading=Heading.WEST)
+        trace, *_ = ag.run_option(
+            state, obs, history, g, sg=0, mode="train", alpha=0.0, eps_low=1.0,
+            rng=np.random.default_rng(0), atomic_so_far=0,
+        )
+        trs = trace.transitions
+        assert len(trs) == ag.params.max_low_level
+        assert ag.replay.items() == trs
+        for prev, tr in zip(trs, trs[1:]):
+            assert tr.s_hist is prev.sp_hist
+        for tr in trs:
+            assert not tr.s_hist.flags.writeable and not tr.sp_hist.flags.writeable
+            assert np.array_equal(tr.s_hist[ag.codec.frame_dim:],
+                                  tr.sp_hist[:-ag.codec.frame_dim])
+
 
 class TestRunEpisode:
     def test_start_at_goal_zero_steps(self):
@@ -381,6 +400,59 @@ a = amp
         assert not rec.success
         assert rec.atomic_steps == 60
         assert rec.options[-1].stop_reason == STOP_EPISODE_CAP
+
+    def test_rechosen_achieved_subgoal_stops_at_episode_cap(self):
+        text = """\
+[map]
+#########
+#a.....b#
+#########
+[legend]
+a = amp
+b = box
+[params]
+goal_distance = 1
+"""
+        world = parse_map_text(text)
+        amp, box = world.label_names.index("amp"), world.label_names.index("box")
+        ag = small_agent(world)
+        force_term(ag, 0)
+        calls = []
+
+        def propose_amp(*args):
+            calls.append(1)
+            assert len(calls) <= 100, "the episode ran past its cap"
+            return amp
+
+        # facing the amp, strafing left bumps the wall south of the agent:
+        # every option ends after one step with its sub-goal achieved
+        ag.propose_subgoal = propose_amp
+        ag.act_low = lambda *args: int(Action.MOVE_LEFT)
+        spec = EpisodeSpec(
+            start=AgentPose(2, 1, Heading.WEST), goal_label=box, max_atomic_steps=30
+        )
+        rec = ag.run_episode(spec, mode="eval", rng=np.random.default_rng(0))
+        assert not rec.success
+        assert rec.atomic_steps == 30 and len(rec.options) == 30
+        assert [o.stop_reason for o in rec.options] == [STOP_SUBGOAL] * 29 + [STOP_EPISODE_CAP]
+        assert all(o.path == [(2, 1)] for o in rec.options)
+
+    def test_paths_share_one_tuple_per_cell(self, bench15):
+        ag = small_agent(bench15)
+        spec = EpisodeSpec(
+            start=AgentPose(7, 6, Heading.EAST),
+            goal_label=bench15.label_names.index("tv"),
+            max_atomic_steps=80,
+        )
+        rec = ag.run_episode(spec, mode="eval", rng=np.random.default_rng(11))
+        path = [p for o in rec.options for p in o.path]
+        assert len(path) == rec.atomic_steps > 0
+        assert all(p is bench15.cell(AgentPose(*p, Heading.NORTH)) for p in path)
+        s = State(spec.start)
+        for o in rec.options:
+            for t, p in zip(o.transitions, o.path):
+                s, _ = bench15.step(s, Action(t.a))
+                assert p == (s.pose.x, s.pose.y)
 
     def test_eval_deterministic_same_seed(self, bench15):
         ag = small_agent(bench15)
