@@ -22,11 +22,10 @@ from typing import Optional
 
 import numpy as np
 
+from .checkpoint import Learner, pack_state, unpack_state
 from .features import FeatureCodec
 from .gridworld import Action, EpisodeSpec, N_ACTIONS, State, World
 from .nets import (
-    Adam,
-    ConstantSchedule,
     Mlp,
     NumericsError,
     ReplayBuffer,
@@ -400,11 +399,19 @@ class HiemAgent:
         if self.train_rounds % p.target_sync == 0:
             self.sync_targets()
 
-    def sync_targets(self):
-        sync_target(self.high, self.high_t)
-        sync_target(self.low_ext, self.low_ext_t)
+    def learners(self) -> list:
+        """Every trained net with its target twin and optimizer, in
+        checkpoint order."""
+        rows = [("high", self.high, self.high_t, self.opt_high),
+                ("low_ext", self.low_ext, self.low_ext_t, self.opt_low_ext)]
         if self.low_int is not None:
-            sync_target(self.low_int, self.low_int_t)
+            rows.append(("low_int", self.low_int, self.low_int_t, self.opt_low_int))
+        return [Learner(f"net/{k}", f"net/{k}_t", f"opt/{k}/", f"opt_t/{k}", *r)
+                for k, *r in rows]
+
+    def sync_targets(self):
+        for l in self.learners():
+            sync_target(l.net, l.target)
 
     def _maybe_train(self):
         p = self.params
@@ -574,69 +581,7 @@ class HiemAgent:
     # -- checkpoint state ----------------------------------------------------
 
     def get_state(self) -> dict:
-        arrays = {}
-        meta = {
-            "atomic_steps_total": self.atomic_steps_total,
-            "train_rounds": self.train_rounds,
-            "episodes_done": self.episodes_done,
-            "rng_state": self.rng.bit_generator.state,
-        }
-        nets = {
-            "high": self.high,
-            "high_t": self.high_t,
-            "low_ext": self.low_ext,
-            "low_ext_t": self.low_ext_t,
-        }
-        opts = {"high": self.opt_high, "low_ext": self.opt_low_ext}
-        online = {"high": self.high, "low_ext": self.low_ext}
-        if self.low_int is not None:
-            nets["low_int"] = self.low_int
-            nets["low_int_t"] = self.low_int_t
-            opts["low_int"] = self.opt_low_int
-            online["low_int"] = self.low_int
-        for name, net in nets.items():
-            for i, parr in enumerate(net.params()):
-                arrays[f"net/{name}/{i}"] = parr
-        for name, opt in opts.items():
-            m, v, t = opt.export(online[name].params())
-            for i, (mi, vi) in enumerate(zip(m, v)):
-                arrays[f"opt/{name}/m{i}"] = mi
-                arrays[f"opt/{name}/v{i}"] = vi
-            meta[f"opt_t/{name}"] = t
-        return {"arrays": arrays, "meta": meta}
+        return pack_state(self)
 
     def set_state(self, state: dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        nets = {
-            "high": self.high,
-            "high_t": self.high_t,
-            "low_ext": self.low_ext,
-            "low_ext_t": self.low_ext_t,
-        }
-        opts = {"high": self.opt_high, "low_ext": self.opt_low_ext}
-        online = {"high": self.high, "low_ext": self.low_ext}
-        if self.low_int is not None:
-            nets["low_int"] = self.low_int
-            nets["low_int_t"] = self.low_int_t
-            opts["low_int"] = self.opt_low_int
-            online["low_int"] = self.low_int
-        for name, net in nets.items():
-            for i, parr in enumerate(net.params()):
-                saved = arrays[f"net/{name}/{i}"]
-                if saved.shape != parr.shape:
-                    raise ValueError(
-                        f"checkpoint architecture mismatch for {name} param {i}: "
-                        f"{saved.shape} vs {parr.shape}"
-                    )
-                parr[...] = saved
-        for name, opt in opts.items():
-            params = online[name].params()
-            t_list = meta.get(f"opt_t/{name}", [])
-            if t_list:
-                m = [arrays[f"opt/{name}/m{i}"] for i in range(len(params))]
-                v = [arrays[f"opt/{name}/v{i}"] for i in range(len(params))]
-                opt.rebind(params, m, v, t_list)
-        self.atomic_steps_total = int(meta["atomic_steps_total"])
-        self.train_rounds = int(meta["train_rounds"])
-        self.episodes_done = int(meta["episodes_done"])
-        self.rng.bit_generator.state = meta["rng_state"]
+        unpack_state(self, state)

@@ -26,6 +26,7 @@ from .agent import (
     LabelSubgoalSpace,
     OptionTrace,
 )
+from .checkpoint import Learner, pack_state, unpack_state
 from .features import FeatureCodec
 from .gridworld import Action, ConfigError, EpisodeSpec, N_ACTIONS, World
 from .nets import Mlp, ReplayBuffer, clone_net, make_optimizer, sync_target, train_step
@@ -282,44 +283,15 @@ class FlatDqnAgent:
             self.episodes_done += 1
         return record
 
+    def learners(self) -> list:
+        return [Learner("net/online", "net/target", "opt/", "opt_t",
+                        self.net, self.net_t, self.opt)]
+
     def get_state(self) -> dict:
-        arrays = {}
-        for i, parr in enumerate(self.net.params()):
-            arrays[f"net/online/{i}"] = parr
-        for i, parr in enumerate(self.net_t.params()):
-            arrays[f"net/target/{i}"] = parr
-        m, v, t = self.opt.export(self.net.params())
-        for i, (mi, vi) in enumerate(zip(m, v)):
-            arrays[f"opt/m{i}"] = mi
-            arrays[f"opt/v{i}"] = vi
-        meta = {
-            "atomic_steps_total": self.atomic_steps_total,
-            "train_rounds": self.train_rounds,
-            "episodes_done": self.episodes_done,
-            "rng_state": self.rng.bit_generator.state,
-            "opt_t": t,
-        }
-        return {"arrays": arrays, "meta": meta}
+        return pack_state(self)
 
     def set_state(self, state: dict) -> None:
-        arrays, meta = state["arrays"], state["meta"]
-        for i, parr in enumerate(self.net.params()):
-            saved = arrays[f"net/online/{i}"]
-            if saved.shape != parr.shape:
-                raise ValueError("checkpoint architecture mismatch")
-            parr[...] = saved
-        for i, parr in enumerate(self.net_t.params()):
-            parr[...] = arrays[f"net/target/{i}"]
-        t_list = meta.get("opt_t", [])
-        if t_list:
-            params = self.net.params()
-            m = [arrays[f"opt/m{i}"] for i in range(len(params))]
-            v = [arrays[f"opt/v{i}"] for i in range(len(params))]
-            self.opt.rebind(params, m, v, t_list)
-        self.atomic_steps_total = int(meta["atomic_steps_total"])
-        self.train_rounds = int(meta["train_rounds"])
-        self.episodes_done = int(meta["episodes_done"])
-        self.rng.bit_generator.state = meta["rng_state"]
+        unpack_state(self, state)
 
 
 def build_agent(world: World, cfg: MethodConfig, params: HiemParams, seed: int):

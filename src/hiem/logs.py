@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import csv
 import json
-from pathlib import Path
 
 from .agent import EpisodeRecord
 from .metrics import MetricsReport

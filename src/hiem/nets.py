@@ -1,12 +1,15 @@
 """Function approximation: fully-connected nets with manual backprop,
 optimizers, target-network sync, replay buffer and decay schedules.
 
-Everything is float64 numpy.  Losses are mean squared error over the batch
-on the selected output head only.  A NaN/Inf parameter after an update is a
-hard fault.
+Everything is float64 numpy.  Each net keeps all its parameters in one
+contiguous vector, `flat`; its weight and bias arrays are views into it.
+Losses are mean squared error over the batch on the selected output head
+only.  A NaN/Inf parameter after an update is a hard fault.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,41 @@ def _he_init(fan_in, fan_out, rng):
     return rng.normal(0.0, scale, size=(fan_in, fan_out))
 
 
-class Mlp:
+def _layer_shapes(sizes):
+    return [s for a, b in zip(sizes[:-1], sizes[1:]) for s in ((a, b), (b,))]
+
+
+class _FlatNet:
+    """Base of the nets: every parameter is a view into one contiguous
+    float64 vector, `flat`, laid out in params() order.  A subclass lists
+    the parameter shapes in `shapes()` and names the views in `_bind`."""
+
+    def _init_flat(self, rng):
+        """Bind a zero vector, then draw the weight matrices from rng in
+        params() order; biases stay zero."""
+        self._bind(np.zeros(sum(math.prod(s) for s in self.shapes())))
+        for p in self.params():
+            if p.ndim == 2:
+                p[...] = _he_init(*p.shape, rng)
+
+    def views(self, vec):
+        """Views into a vector of `flat`'s length, shaped like params()."""
+        out, at = [], 0
+        for shape in self.shapes():
+            n = math.prod(shape)
+            out.append(vec[at:at + n].reshape(shape))
+            at += n
+        return out
+
+    def params(self):
+        return self.views(self.flat)
+
+    @property
+    def in_dim(self):
+        return self.sizes[0]
+
+
+class Mlp(_FlatNet):
     """Fully-connected net: relu hidden layers, linear or sigmoid output.
 
     `sizes` lists all layer widths including input and output, e.g.
@@ -49,26 +86,20 @@ class Mlp:
             raise ValueError(f"unknown output activation {output!r}")
         self.sizes = list(int(s) for s in sizes)
         self.output = output
-        self.W = [
-            _he_init(a, b, rng) for a, b in zip(self.sizes[:-1], self.sizes[1:])
-        ]
-        self.b = [np.zeros(b) for b in self.sizes[1:]]
+        self._init_flat(rng)
         self._cache = None
 
-    @property
-    def in_dim(self):
-        return self.sizes[0]
+    def shapes(self):
+        return _layer_shapes(self.sizes)
+
+    def _bind(self, flat):
+        self.flat = flat
+        p = self.views(flat)
+        self.W, self.b = p[0::2], p[1::2]
 
     @property
     def out_dim(self):
         return self.sizes[-1]
-
-    def params(self):
-        out = []
-        for i in range(len(self.W)):
-            out.append(self.W[i])
-            out.append(self.b[i])
-        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -113,7 +144,7 @@ class Mlp:
         return grads
 
 
-class SharedTrunkNet:
+class SharedTrunkNet(_FlatNet):
     """Relu trunk with two heads: a linear Q head over sub-goals and a
     logistic termination head.  Both heads backprop into the trunk."""
 
@@ -122,31 +153,21 @@ class SharedTrunkNet:
             raise ValueError("shared-trunk net needs at least one hidden layer")
         self.sizes = [int(in_dim)] + [int(h) for h in hidden]
         self.n_out = int(n_out)
-        self.W = [
-            _he_init(a, b, rng) for a, b in zip(self.sizes[:-1], self.sizes[1:])
-        ]
-        self.b = [np.zeros(b) for b in self.sizes[1:]]
-        self.qW = _he_init(self.sizes[-1], self.n_out, rng)
-        self.qb = np.zeros(self.n_out)
-        self.tW = _he_init(self.sizes[-1], self.n_out, rng)
-        self.tb = np.zeros(self.n_out)
+        self._init_flat(rng)
         self._cache = None
 
-    @property
-    def in_dim(self):
-        return self.sizes[0]
+    def shapes(self):
+        head = [(self.sizes[-1], self.n_out), (self.n_out,)]
+        return _layer_shapes(self.sizes) + head + head
+
+    def _bind(self, flat):
+        self.flat = flat
+        *trunk, self.qW, self.qb, self.tW, self.tb = self.views(flat)
+        self.W, self.b = trunk[0::2], trunk[1::2]
 
     @property
     def out_dim(self):
         return self.n_out
-
-    def params(self):
-        out = []
-        for i in range(len(self.W)):
-            out.append(self.W[i])
-            out.append(self.b[i])
-        out.extend([self.qW, self.qb, self.tW, self.tb])
-        return out
 
     def _trunk(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -208,71 +229,60 @@ class SharedTrunkNet:
 # ----- optimizers -----------------------------------------------------------
 
 
+def _concat(grads, out=None):
+    return np.concatenate([g.ravel() for g in grads], out=out)
+
+
 class Sgd:
     def __init__(self, lr=1e-3):
         self.lr = float(lr)
 
-    def step(self, params, grads):
-        for p, g in zip(params, grads):
-            p -= self.lr * g
-
-    def export(self, params):
-        return [], [], []
-
-    def rebind(self, params, m_list, v_list, t_list):
-        pass
+    def step(self, flat, grads):
+        flat -= self.lr * _concat(grads)
 
 
 class Adam:
-    """Adaptive-moment gradient descent with per-parameter step counters,
-    so updates that touch only a subset of parameters stay unbiased."""
+    """Adaptive-moment gradient descent over one net's `flat` vector: one
+    first moment `m`, one second moment `v` and one step count `t`.  The
+    moments are allocated on the first step."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
-        self._t: dict[int, int] = {}
+        self.m = None
+        self.v = None
+        self.t = 0
+        # the concatenated gradient and one scratch vector, reused: a new
+        # vector the size of a net per step or per operation costs page faults
+        self._g = None
+        self._w = None
 
-    def step(self, params, grads):
-        for p, g in zip(params, grads):
-            key = id(p)
-            if key not in self._m:
-                self._m[key] = np.zeros_like(p)
-                self._v[key] = np.zeros_like(p)
-                self._t[key] = 0
-            self._t[key] += 1
-            t = self._t[key]
-            m = self._m[key]
-            v = self._v[key]
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            mhat = m / (1 - self.beta1**t)
-            vhat = v / (1 - self.beta2**t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-    def export(self, params):
-        """Moment state aligned with the given param list, for checkpoints."""
-        m, v, t = [], [], []
-        for p in params:
-            key = id(p)
-            m.append(self._m.get(key, np.zeros_like(p)).copy())
-            v.append(self._v.get(key, np.zeros_like(p)).copy())
-            t.append(self._t.get(key, 0))
-        return m, v, t
-
-    def rebind(self, params, m_list, v_list, t_list):
-        """Restore moment state against a freshly constructed param list (in
-        the same order as at save time)."""
-        self._m, self._v, self._t = {}, {}, {}
-        for p, m, v, t in zip(params, m_list, v_list, t_list):
-            self._m[id(p)] = m.copy()
-            self._v[id(p)] = v.copy()
-            self._t[id(p)] = int(t)
+    def step(self, flat, grads):
+        """Update a net's `flat` vector from gradients aligned with its
+        params().  The step lr * mhat / (sqrt(vhat) + eps) is computed in
+        place, one operation at a time in the expression's order."""
+        if self._g is None:
+            self._g = np.empty_like(flat)
+            self._w = np.empty_like(flat)
+        g = _concat(grads, out=self._g)
+        w = self._w
+        if self.m is None:
+            self.m = np.zeros_like(flat)
+            self.v = np.zeros_like(flat)
+        self.t += 1
+        m, v, t = self.m, self.v, self.t
+        m *= self.beta1
+        m += np.multiply(1 - self.beta1, g, out=w)
+        v *= self.beta2
+        np.multiply(1 - self.beta2, g, out=w)
+        v += np.multiply(w, g, out=w)
+        vhat = np.divide(v, 1 - self.beta2**t, out=g)
+        denom = np.add(np.sqrt(vhat, out=vhat), self.eps, out=vhat)
+        mhat = np.divide(m, 1 - self.beta1**t, out=w)
+        step = np.multiply(self.lr, mhat, out=w)
+        flat -= np.divide(step, denom, out=w)
 
 
 def make_optimizer(kind: str, lr: float):
@@ -287,11 +297,10 @@ def make_optimizer(kind: str, lr: float):
 
 
 def _check_finite(net):
-    for p in net.params():
-        if not np.isfinite(p).all():
-            raise NumericsError(
-                f"non-finite parameters after update in net with sizes {net.sizes}"
-            )
+    if not np.isfinite(net.flat).all():
+        raise NumericsError(
+            f"non-finite parameters after update in net with sizes {net.sizes}"
+        )
 
 
 def train_step(net: Mlp, optimizer, inputs, indices, targets) -> float:
@@ -313,7 +322,7 @@ def train_step(net: Mlp, optimizer, inputs, indices, targets) -> float:
     grad_out = np.zeros_like(out)
     grad_out[rows, indices] = 2.0 * err / n
     grads = net.backward(grad_out)
-    optimizer.step(net.params(), grads)
+    optimizer.step(net.flat, grads)
     _check_finite(net)
     return loss
 
@@ -335,7 +344,7 @@ def train_q_step(net: SharedTrunkNet, optimizer, inputs, indices, targets) -> fl
     grad_q = np.zeros_like(out)
     grad_q[rows, indices] = 2.0 * err / n
     grads = net.q_backward(grad_q)
-    optimizer.step(net.params(), grads)
+    optimizer.step(net.flat, grads)
     _check_finite(net)
     return loss
 
@@ -357,41 +366,23 @@ def train_term_step(net: SharedTrunkNet, optimizer, inputs, indices, advantages)
     grad_t = np.zeros_like(term)
     grad_t[rows, indices] = advantages / n
     grads = net.term_backward(grad_t, term)
-    optimizer.step(net.params(), grads)
+    optimizer.step(net.flat, grads)
     _check_finite(net)
 
 
 def sync_target(online, target) -> None:
     """Bitwise copy of online parameters into the target twin."""
-    po, pt = online.params(), target.params()
-    if len(po) != len(pt) or any(a.shape != b.shape for a, b in zip(po, pt)):
+    if online.shapes() != target.shapes():
         raise ValueError("architecture mismatch between online and target nets")
-    for a, b in zip(po, pt):
-        b[...] = a
+    target.flat[...] = online.flat
 
 
 def clone_net(net):
-    if isinstance(net, Mlp):
-        twin = Mlp.__new__(Mlp)
-        twin.sizes = list(net.sizes)
-        twin.output = net.output
-        twin.W = [w.copy() for w in net.W]
-        twin.b = [b.copy() for b in net.b]
-        twin._cache = None
-        return twin
-    if isinstance(net, SharedTrunkNet):
-        twin = SharedTrunkNet.__new__(SharedTrunkNet)
-        twin.sizes = list(net.sizes)
-        twin.n_out = net.n_out
-        twin.W = [w.copy() for w in net.W]
-        twin.b = [b.copy() for b in net.b]
-        twin.qW = net.qW.copy()
-        twin.qb = net.qb.copy()
-        twin.tW = net.tW.copy()
-        twin.tb = net.tb.copy()
-        twin._cache = None
-        return twin
-    raise TypeError(f"cannot clone {type(net)!r}")
+    """A twin of `net` with its own copy of the flat vector."""
+    twin = copy.copy(net)
+    twin._bind(net.flat.copy())
+    twin._cache = None
+    return twin
 
 
 # ----- replay ---------------------------------------------------------------

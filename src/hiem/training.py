@@ -11,8 +11,6 @@ import logging
 from collections import deque
 from pathlib import Path
 
-import numpy as np
-
 from .baselines import MethodConfig, build_agent
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig

@@ -179,6 +179,69 @@ class TestTrainStep:
         assert loss < 1e-3
 
 
+def _reference_adam(params, grads_seq, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam applied one parameter array at a time, as separate arrays."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_seq, start=1):
+        for p, g, mi, vi in zip(params, grads, m, v):
+            mi *= b1
+            mi += (1 - b1) * g
+            vi *= b2
+            vi += (1 - b2) * g * g
+            p -= lr * (mi / (1 - b1**t)) / (np.sqrt(vi / (1 - b2**t)) + eps)
+    return params
+
+
+def _nets(seed):
+    rng = np.random.default_rng(seed)
+    return [Mlp([5, 7, 3], rng), SharedTrunkNet(5, [6, 4], 3, rng)]
+
+
+class TestFlatParameters:
+    def test_params_are_views_into_flat_in_order(self):
+        for net in _nets(20):
+            assert (np.concatenate([p.ravel() for p in net.params()]) == net.flat).all()
+            net.W[0][0, 1] = 7.5
+            assert net.flat[1] == 7.5
+            net.flat[-1] = -2.5
+            assert (net.tb if isinstance(net, SharedTrunkNet) else net.b[-1])[-1] == -2.5
+
+    def test_initial_weights_drawn_in_per_array_order(self):
+        mlp, trunk = _nets(21)
+        rng = np.random.default_rng(21)
+        draw = lambda a, b: rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b))
+        for w, shape in zip(mlp.W, [(5, 7), (7, 3)]):
+            assert (w == draw(*shape)).all()
+        for w, shape in zip(trunk.W + [trunk.qW, trunk.tW], [(5, 6), (6, 4), (4, 3), (4, 3)]):
+            assert (w == draw(*shape)).all()
+        for net in (mlp, trunk):
+            assert all((p == 0).all() for p in net.params() if p.ndim == 1)
+
+    def test_adam_matches_per_parameter_reference_bitwise(self):
+        rng = np.random.default_rng(22)
+        for net in _nets(22):
+            grads_seq = [[rng.normal(size=p.shape) for p in net.params()] for _ in range(5)]
+            expected = _reference_adam(net.params(), grads_seq)
+            opt = Adam()
+            for grads in grads_seq:
+                opt.step(net.flat, grads)
+            assert opt.t == 5 and opt.m.shape == opt.v.shape == net.flat.shape
+            for got, want in zip(net.params(), expected):
+                assert got.tobytes() == want.tobytes()
+
+    def test_clone_owns_its_vector(self):
+        for net in _nets(23):
+            twin = clone_net(net)
+            assert type(twin) is type(net) and twin.shapes() == net.shapes()
+            assert (twin.flat == net.flat).all()
+            assert not np.shares_memory(twin.flat, net.flat)
+            net.flat += 1.0
+            assert all(np.shares_memory(p, twin.flat) for p in twin.params())
+            assert not (twin.flat == net.flat).any()
+
+
 class TestSyncTarget:
     def test_sync_copies_bitwise_and_is_idempotent(self):
         rng = np.random.default_rng(9)
