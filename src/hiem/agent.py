@@ -122,24 +122,41 @@ class OptionTrace:
     sg: int
     sg_name: str
     behavior: str  # "low" | "proxy" | "random"
-    transitions: list = field(default_factory=list)
+    transitions: list = field(default_factory=list)  # Transition; hiem only
     stop_reason: str = ""
     path: list = field(default_factory=list)  # (x, y) after each step
 
     @property
     def length(self) -> int:
-        return len(self.transitions)
+        return len(self.path)
 
 
 @dataclass
 class EpisodeRecord:
     goal: int
     goal_name: str
-    success: bool
-    atomic_steps: int
     start: tuple  # (x, y, heading)
+    success: bool = False
+    atomic_steps: int = 0
     options: list = field(default_factory=list)  # OptionTrace
     discounted_return: float = 0.0
+
+    def close(self, success: bool, steps: int, gamma: float) -> EpisodeRecord:
+        """Set the outcome: the return is gamma**steps on success, else 0."""
+        self.success = success
+        self.atomic_steps = steps
+        self.discounted_return = gamma**steps if success else 0.0
+        return self
+
+
+def start_episode(world: World, spec: EpisodeSpec):
+    """Reset the world to the spec's start; returns (state, open record)."""
+    state = world.reset(spec)
+    g = spec.goal_label
+    pose = state.pose
+    record = EpisodeRecord(goal=g, goal_name=world.label_names[g],
+                           start=(pose.x, pose.y, int(pose.heading)))
+    return state, record
 
 
 # ----- hyper-parameters -----------------------------------------------------
@@ -193,13 +210,54 @@ def default_params(train_episodes: int, **overrides) -> HiemParams:
 # ----- the controller -------------------------------------------------------
 
 
-class HiemAgent:
-    def __init__(self, world: World, space, params: HiemParams, seed: int):
+class ReplayLearner:
+    """What the trainable agents share: the replay buffer, the counters a
+    checkpoint keeps, the train-round trigger, target sync and checkpoint
+    state.  A subclass defines `learners()`, its nets in checkpoint order,
+    and `_train_round()`, which learns from one replay sample and ends
+    with `_round_done()`."""
+
+    def __init__(self, world: World, params: HiemParams, seed: int):
         self.world = world
-        self.space = space
         self.params = params
-        self.codec = FeatureCodec(world, space.n, history_len=params.history_len)
         self.rng = np.random.default_rng(seed)
+        self.replay = ReplayBuffer(params.buffer_capacity)
+        self.atomic_steps_total = 0
+        self.train_rounds = 0
+        self.episodes_done = 0
+
+    def _push(self, tr) -> None:
+        """Store one train-mode transition; train a round once replay
+        holds `min_buffer` items, every `train_every` steps."""
+        p = self.params
+        self.replay.push(tr)
+        self.atomic_steps_total += 1
+        if len(self.replay) >= p.min_buffer and (
+            self.atomic_steps_total % p.train_every == 0
+        ):
+            self._train_round()
+
+    def _round_done(self) -> None:
+        self.train_rounds += 1
+        if self.train_rounds % self.params.target_sync == 0:
+            self.sync_targets()
+
+    def sync_targets(self):
+        for l in self.learners():
+            sync_target(l.net, l.target)
+
+    def get_state(self) -> dict:
+        return pack_state(self)
+
+    def set_state(self, state: dict) -> None:
+        unpack_state(self, state)
+
+
+class HiemAgent(ReplayLearner):
+    def __init__(self, world: World, space, params: HiemParams, seed: int):
+        super().__init__(world, params, seed)
+        self.space = space
+        self.codec = FeatureCodec(world, space.n, history_len=params.history_len)
 
         p = params
         self.high = SharedTrunkNet(self.codec.high_dim, p.hidden, space.n, self.rng)
@@ -220,10 +278,6 @@ class HiemAgent:
         self.opt_high = make_optimizer(p.optimizer, p.lr)
         self.opt_low_ext = make_optimizer(p.optimizer, p.lr)
         self.opt_low_int = make_optimizer(p.optimizer, p.lr)
-        self.replay = ReplayBuffer(p.buffer_capacity)
-        self.atomic_steps_total = 0
-        self.train_rounds = 0
-        self.episodes_done = 0
 
     # -- policies ------------------------------------------------------------
 
@@ -395,9 +449,7 @@ class HiemAgent:
             self.update_term(batch)
         if self.space.has_intrinsic and p.force_alpha != 0:
             self.update_low_intrinsic(batch)
-        self.train_rounds += 1
-        if self.train_rounds % p.target_sync == 0:
-            self.sync_targets()
+        self._round_done()
 
     def learners(self) -> list:
         """Every trained net with its target twin and optimizer, in
@@ -408,17 +460,6 @@ class HiemAgent:
             rows.append(("low_int", self.low_int, self.low_int_t, self.opt_low_int))
         return [Learner(f"net/{k}", f"net/{k}_t", f"opt/{k}/", f"opt_t/{k}", *r)
                 for k, *r in rows]
-
-    def sync_targets(self):
-        for l in self.learners():
-            sync_target(l.net, l.target)
-
-    def _maybe_train(self):
-        p = self.params
-        if len(self.replay) >= p.min_buffer and (
-            self.atomic_steps_total % p.train_every == 0
-        ):
-            self._train_round()
 
     # -- execution -----------------------------------------------------------
 
@@ -500,9 +541,7 @@ class HiemAgent:
             trace.path.append(self.world.cell(state2.pose))
             state, obs, s_hist = state2, obs2, sp_hist
             if train:
-                self.replay.push(tr)
-                self.atomic_steps_total += 1
-                self._maybe_train()
+                self._push(tr)
 
             if goal_reached:
                 trace.stop_reason = STOP_GOAL
@@ -538,31 +577,16 @@ class HiemAgent:
             rng = self.rng
         p = self.params
         g = spec.goal_label
-        state = self.world.reset(spec)
+        state, record = start_episode(self.world, spec)
         history = self.codec.new_history()
         obs = self.world.observe(state)
         history.append(self.codec.obs_vec(obs))
-        start = (state.pose.x, state.pose.y, int(state.pose.heading))
-        record = EpisodeRecord(
-            goal=g,
-            goal_name=self.world.label_names[g],
-            success=False,
-            atomic_steps=0,
-            start=start,
-        )
-        if self.world.is_goal_state(state, g):
-            record.success = True
-            record.discounted_return = 1.0
-            if mode == "train":
-                self.episodes_done += 1
-            return record
         max_atomic = min(p.max_atomic, spec.max_atomic_steps)
         alpha = self._effective_alpha(mode, episode_idx)
         eps_h = 0.0 if mode == "eval" else float(p.eps_high.value(episode_idx))
         eps_l = 0.0 if mode == "eval" else float(p.eps_low.value(episode_idx))
         atomic = 0
-        done = False
-        success = False
+        success = done = self.world.is_goal_state(state, g)
         while not done:
             hist_vec = self.codec.stack_history(history)
             sg = self.propose_subgoal(hist_vec, g, obs.visible_labels, eps_h, rng)
@@ -571,17 +595,6 @@ class HiemAgent:
                 max_atomic=max_atomic,
             )
             record.options.append(trace)
-        record.success = success
-        record.atomic_steps = atomic
-        record.discounted_return = p.gamma**atomic if success else 0.0
         if mode == "train":
             self.episodes_done += 1
-        return record
-
-    # -- checkpoint state ----------------------------------------------------
-
-    def get_state(self) -> dict:
-        return pack_state(self)
-
-    def set_state(self, state: dict) -> None:
-        unpack_state(self, state)
+        return record.close(success, atomic, p.gamma)

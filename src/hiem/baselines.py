@@ -19,17 +19,20 @@ from typing import Optional
 import numpy as np
 
 from .agent import (
+    STOP_EPISODE_CAP,
+    STOP_GOAL,
     AnonymousOptionSpace,
-    EpisodeRecord,
     HiemAgent,
     HiemParams,
     LabelSubgoalSpace,
     OptionTrace,
+    ReplayLearner,
+    start_episode,
 )
-from .checkpoint import Learner, pack_state, unpack_state
+from .checkpoint import Learner
 from .features import FeatureCodec
 from .gridworld import Action, ConfigError, EpisodeSpec, N_ACTIONS, World
-from .nets import Mlp, ReplayBuffer, clone_net, make_optimizer, sync_target, train_step
+from .nets import Mlp, clone_net, make_optimizer, train_step
 
 METHODS = (
     "oracle",
@@ -85,44 +88,33 @@ def random_policy(rng: np.random.Generator) -> Action:
     return Action(int(rng.integers(N_ACTIONS)))
 
 
+def walk(world: World, spec: EpisodeSpec, params: HiemParams, name: str, policy):
+    """One option named `name` of `policy(state)` actions from the spec's
+    start until the goal or the step cap; no option when the start is a
+    goal state."""
+    g = spec.goal_label
+    state, record = start_episode(world, spec)
+    max_atomic = min(params.max_atomic, spec.max_atomic_steps)
+    trace = OptionTrace(sg=0, sg_name=name, behavior=name)
+    success = world.is_goal_state(state, g)
+    while not success and trace.length < max_atomic:
+        state, _ = world.step(state, policy(state))
+        trace.path.append(world.cell(state.pose))
+        success = world.is_goal_state(state, g)
+    trace.stop_reason = STOP_GOAL if success else STOP_EPISODE_CAP
+    record.options = [trace] if trace.length else []
+    return record.close(success, trace.length, params.gamma)
+
+
 class OracleAgent:
     def __init__(self, world: World, params: HiemParams):
         self.world = world
         self.params = params
 
     def run_episode(self, spec: EpisodeSpec, mode="eval", episode_idx=0, rng=None):
-        world = self.world
-        g = spec.goal_label
-        state = world.reset(spec)
-        record = EpisodeRecord(
-            goal=g,
-            goal_name=world.label_names[g],
-            success=False,
-            atomic_steps=0,
-            start=(state.pose.x, state.pose.y, int(state.pose.heading)),
-        )
-        path = world.shortest_path_actions(
-            state.pose, lambda s: world.is_goal_state(s, g)
-        )
-        if path is None:
-            raise ConfigError("goal unreachable from the start state")
-        max_atomic = min(self.params.max_atomic, spec.max_atomic_steps)
-        trace = OptionTrace(sg=0, sg_name="oracle", behavior="oracle")
-        steps = 0
-        while not world.is_goal_state(state, g) and steps < max_atomic:
-            action = oracle_policy(world, state, g)
-            state, _ = world.step(state, action)
-            steps += 1
-            trace.path.append(world.cell(state.pose))
-        record.success = world.is_goal_state(state, g)
-        record.atomic_steps = steps
-        trace.stop_reason = "goal_reached" if record.success else "episode_cap"
-        trace.transitions = [None] * steps
-        record.options = [trace] if steps else []
-        record.discounted_return = (
-            self.params.gamma**steps if record.success else 0.0
-        )
-        return record
+        world, g = self.world, spec.goal_label
+        return walk(world, spec, self.params, "oracle",
+                    lambda state: oracle_policy(world, state, g))
 
 
 class RandomAgent:
@@ -133,32 +125,8 @@ class RandomAgent:
     def run_episode(self, spec: EpisodeSpec, mode="eval", episode_idx=0, rng=None):
         if rng is None:
             raise ValueError("random agent needs an rng")
-        world = self.world
-        g = spec.goal_label
-        state = world.reset(spec)
-        record = EpisodeRecord(
-            goal=g,
-            goal_name=world.label_names[g],
-            success=False,
-            atomic_steps=0,
-            start=(state.pose.x, state.pose.y, int(state.pose.heading)),
-        )
-        max_atomic = min(self.params.max_atomic, spec.max_atomic_steps)
-        trace = OptionTrace(sg=0, sg_name="random", behavior="random")
-        steps = 0
-        success = world.is_goal_state(state, g)
-        while not success and steps < max_atomic:
-            state, _ = world.step(state, random_policy(rng))
-            steps += 1
-            trace.path.append(world.cell(state.pose))
-            success = world.is_goal_state(state, g)
-        record.success = success
-        record.atomic_steps = steps
-        trace.stop_reason = "goal_reached" if success else "episode_cap"
-        trace.transitions = [None] * steps
-        record.options = [trace] if steps else []
-        record.discounted_return = self.params.gamma**steps if success else 0.0
-        return record
+        return walk(self.world, spec, self.params, "random",
+                    lambda state: random_policy(rng))
 
 
 @dataclass
@@ -171,22 +139,16 @@ class DqnTransition:
     goal_reached: bool
 
 
-class FlatDqnAgent:
+class FlatDqnAgent(ReplayLearner):
     """Single Q(s, g, a) learner over the six atomic actions, extrinsic
     rewards only, same observation encoding as the high-level net."""
 
     def __init__(self, world: World, params: HiemParams, seed: int):
-        self.world = world
-        self.params = params
+        super().__init__(world, params, seed)
         self.codec = FeatureCodec(world, 1, history_len=params.history_len)
-        self.rng = np.random.default_rng(seed)
         self.net = Mlp([self.codec.high_dim, *params.hidden, N_ACTIONS], self.rng)
         self.net_t = clone_net(self.net)
         self.opt = make_optimizer(params.optimizer, params.lr)
-        self.replay = ReplayBuffer(params.buffer_capacity)
-        self.atomic_steps_total = 0
-        self.train_rounds = 0
-        self.episodes_done = 0
 
     def act(self, hist_vec, g, eps, rng) -> int:
         if eps > 0 and rng.random() < eps:
@@ -207,15 +169,13 @@ class FlatDqnAgent:
         acts = np.array([t.a for t in batch])
         return train_step(self.net, self.opt, self.codec.high_inputs(s, gs), acts, targets)
 
-    def _maybe_train(self):
-        p = self.params
-        if len(self.replay) >= p.min_buffer and (
-            self.atomic_steps_total % p.train_every == 0
-        ):
-            self.update(self.replay.sample(p.batch_size, self.rng))
-            self.train_rounds += 1
-            if self.train_rounds % p.target_sync == 0:
-                sync_target(self.net, self.net_t)
+    def _train_round(self):
+        self.update(self.replay.sample(self.params.batch_size, self.rng))
+        self._round_done()
+
+    def learners(self) -> list:
+        return [Learner("net/online", "net/target", "opt/", "opt_t",
+                        self.net, self.net_t, self.opt)]
 
     def run_episode(self, spec: EpisodeSpec, mode="train", episode_idx=0, rng=None):
         if rng is None:
@@ -223,75 +183,40 @@ class FlatDqnAgent:
         p = self.params
         world = self.world
         g = spec.goal_label
-        state = world.reset(spec)
+        state, record = start_episode(world, spec)
         history = self.codec.new_history()
-        obs = world.observe(state)
-        history.append(self.codec.obs_vec(obs))
-        record = EpisodeRecord(
-            goal=g,
-            goal_name=world.label_names[g],
-            success=False,
-            atomic_steps=0,
-            start=(state.pose.x, state.pose.y, int(state.pose.heading)),
-        )
-        if world.is_goal_state(state, g):
-            record.success = True
-            record.discounted_return = 1.0
-            if mode == "train":
-                self.episodes_done += 1
-            return record
+        history.append(self.codec.obs_vec(world.observe(state)))
         eps = 0.0 if mode == "eval" else float(p.eps_low.value(episode_idx))
         max_atomic = min(p.max_atomic, spec.max_atomic_steps)
         trace = OptionTrace(sg=0, sg_name="dqn", behavior="low")
-        steps = 0
-        success = False
+        success = world.is_goal_state(state, g)
         hist_vec = self.codec.stack_history(history)
-        while True:
+        while not success:
             a = self.act(hist_vec, g, eps, rng)
             state2, _ = world.step(state, Action(a))
             obs2 = world.observe(state2)
             history.append(self.codec.obs_vec(obs2))
             sp_hist = self.codec.stack_history(history)
-            steps += 1
-            goal_reached = world.is_goal_state(state2, g)
+            success = world.is_goal_state(state2, g)
             tr = DqnTransition(
                 s_hist=hist_vec,
                 sp_hist=sp_hist,
                 g=g,
                 a=a,
-                r_e=1.0 if goal_reached else 0.0,
-                goal_reached=goal_reached,
+                r_e=1.0 if success else 0.0,
+                goal_reached=success,
             )
             trace.path.append(world.cell(state2.pose))
             state, hist_vec = state2, sp_hist
             if mode == "train":
-                self.replay.push(tr)
-                self.atomic_steps_total += 1
-                self._maybe_train()
-            if goal_reached:
-                success = True
+                self._push(tr)
+            if trace.length >= max_atomic:
                 break
-            if steps >= max_atomic:
-                break
-        record.success = success
-        record.atomic_steps = steps
-        trace.stop_reason = "goal_reached" if success else "episode_cap"
-        trace.transitions = [None] * steps
-        record.options = [trace]
-        record.discounted_return = p.gamma**steps if success else 0.0
+        trace.stop_reason = STOP_GOAL if success else STOP_EPISODE_CAP
+        record.options = [trace] if trace.length else []
         if mode == "train":
             self.episodes_done += 1
-        return record
-
-    def learners(self) -> list:
-        return [Learner("net/online", "net/target", "opt/", "opt_t",
-                        self.net, self.net_t, self.opt)]
-
-    def get_state(self) -> dict:
-        return pack_state(self)
-
-    def set_state(self, state: dict) -> None:
-        unpack_state(self, state)
+        return record.close(success, trace.length, p.gamma)
 
 
 def build_agent(world: World, cfg: MethodConfig, params: HiemParams, seed: int):

@@ -58,9 +58,6 @@ class FeatureCodec:
         out.setflags(write=False)
         return out
 
-    def current_frame(self, hist_vec: np.ndarray) -> np.ndarray:
-        return hist_vec[-self.frame_dim:]
-
     def goal_onehot(self, g: int) -> np.ndarray:
         out = np.zeros(self.n_labels)
         out[g] = 1.0

@@ -11,6 +11,7 @@ import logging
 from collections import deque
 from pathlib import Path
 
+from .agent import ReplayLearner
 from .baselines import MethodConfig, build_agent
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
@@ -49,7 +50,7 @@ def train(
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg.write_snapshot(out_dir / "config_resolved.ini")
     ckpt_path = out_dir / "checkpoint.npz"
-    if not hasattr(agent, "get_state"):
+    if not isinstance(agent, ReplayLearner):
         # oracle/random need no training; still emit an empty log for uniformity
         (out_dir / "train_log.jsonl").write_text("")
         return ckpt_path

@@ -276,3 +276,36 @@ class TestOcBehavior:
         for trace in rec.options:
             assert trace.stop_reason != "subgoal_achieved"
             assert trace.behavior in ("low", "random")
+
+
+@pytest.mark.parametrize("method", ["oracle", "random", "dqn", "hiem"])
+class TestEpisodeRecords:
+    """The episode protocol every agent keeps, whatever its policy."""
+
+    def _agent(self, world, method):
+        params = default_params(10, hidden=(8,), min_buffer=8, batch_size=4)
+        return build_agent(world, MethodConfig(method), params, seed=0)
+
+    def test_start_at_goal_is_zero_steps(self, open7, method):
+        spec = EpisodeSpec(start=AgentPose(3, 3, Heading.EAST), goal_label=0)
+        assert open7.is_goal_state(open7.reset(spec), 0)
+        rec = self._agent(open7, method).run_episode(
+            spec, mode="eval", rng=np.random.default_rng(0))
+        assert rec.success
+        assert rec.options == []
+        assert rec.atomic_steps == 0
+        assert rec.discounted_return == 1.0
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_option_lengths_are_paths_and_sum_to_steps(self, bench15, method, mode):
+        agent = self._agent(bench15, method)
+        specs = sample_episode_specs(bench15, 6, seed=2, max_atomic_steps=60)
+        steps = 0
+        for i, (spec, _) in enumerate(specs):
+            rec = agent.run_episode(spec, mode=mode, episode_idx=i,
+                                    rng=np.random.default_rng(i))
+            for trace in rec.options:
+                assert trace.length == len(trace.path) > 0
+            assert sum(t.length for t in rec.options) == rec.atomic_steps <= 60
+            steps += rec.atomic_steps
+        assert steps > 0
