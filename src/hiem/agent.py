@@ -24,7 +24,7 @@ import numpy as np
 
 from .checkpoint import Learner, pack_state, unpack_state
 from .features import FeatureCodec
-from .gridworld import Action, EpisodeSpec, N_ACTIONS, State, World
+from .gridworld import EpisodeSpec, N_ACTIONS, State, World
 from .nets import (
     Mlp,
     NumericsError,
@@ -63,12 +63,20 @@ class LabelSubgoalSpace:
         self.random_index: Optional[int] = world.n_labels
         self.has_intrinsic = True
         self._names = list(world.label_names) + ["random"]
+        self._masks: dict[frozenset, np.ndarray] = {}
 
     def valid_mask(self, visible_labels) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        for l in visible_labels:
-            mask[l] = True
-        mask[self.random_index] = True
+        """The proposable sub-goals; one read-only mask per set of visible
+        labels, computed on first use."""
+        key = frozenset(visible_labels)
+        mask = self._masks.get(key)
+        if mask is None:
+            mask = np.zeros(self.n, dtype=bool)
+            for l in key:
+                mask[l] = True
+            mask[self.random_index] = True
+            mask.setflags(write=False)
+            self._masks[key] = mask
         return mask
 
     def is_achieved(self, world: World, state: State, sg: int) -> bool:
@@ -89,9 +97,11 @@ class AnonymousOptionSpace:
         self.n = int(n_options)
         self.random_index: Optional[int] = None
         self.has_intrinsic = False
+        self._mask = np.ones(self.n, dtype=bool)
+        self._mask.setflags(write=False)
 
     def valid_mask(self, visible_labels) -> np.ndarray:
-        return np.ones(self.n, dtype=bool)
+        return self._mask
 
     def is_achieved(self, world: World, state: State, sg: int) -> bool:
         return False
@@ -190,6 +200,10 @@ class HiemParams:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("gamma must be in (0, 1]")
+        for name in ("target_sync", "train_every", "batch_size", "history_len",
+                     "max_low_level"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.max_low_level > self.max_atomic:
             raise ValueError("max_low_level must not exceed max_atomic")
 
@@ -492,9 +506,11 @@ class HiemAgent(ReplayLearner):
         rng,
         atomic_so_far,
         max_atomic=None,
+        s_hist=None,
     ):
         """Execute one option.  Returns (trace, state, obs, atomic_steps_now,
-        episode_done, success).
+        episode_done, success).  `s_hist` is the stacked `history`, when
+        the caller has it already.
 
         After each step the option stops at the first of: the goal is
         reached, the episode's step cap is hit, the sub-goal is reached,
@@ -508,7 +524,8 @@ class HiemAgent(ReplayLearner):
         success = False
         done = False
         train = mode == "train"
-        s_hist = self.codec.stack_history(history)
+        if s_hist is None:
+            s_hist = self.codec.stack_history(history)
         while True:
             frame = history[-1]
             if behavior == "random":
@@ -517,7 +534,7 @@ class HiemAgent(ReplayLearner):
                 a = self.act_proxy(frame, sg, eps_low, rng)
             else:
                 a = self.act_low(frame, g, sg, eps_low, rng)
-            state2, _collided = self.world.step(state, Action(a))
+            state2, _collided = self.world.step(state, a)
             obs2 = self.world.observe(state2)
             history.append(self.codec.obs_vec(obs2))
             sp_hist = self.codec.stack_history(history)
@@ -587,14 +604,16 @@ class HiemAgent(ReplayLearner):
         eps_l = 0.0 if mode == "eval" else float(p.eps_low.value(episode_idx))
         atomic = 0
         success = done = self.world.is_goal_state(state, g)
+        hist_vec = self.codec.stack_history(history)
         while not done:
-            hist_vec = self.codec.stack_history(history)
             sg = self.propose_subgoal(hist_vec, g, obs.visible_labels, eps_h, rng)
             trace, state, obs, atomic, done, success = self.run_option(
                 state, obs, history, g, sg, mode, alpha, eps_l, rng, atomic,
-                max_atomic=max_atomic,
+                max_atomic=max_atomic, s_hist=hist_vec,
             )
             record.options.append(trace)
+            # the stacked history after the option's last step
+            hist_vec = trace.transitions[-1].sp_hist
         if mode == "train":
             self.episodes_done += 1
         return record.close(success, atomic, p.gamma)

@@ -193,7 +193,7 @@ class FlatDqnAgent(ReplayLearner):
         hist_vec = self.codec.stack_history(history)
         while not success:
             a = self.act(hist_vec, g, eps, rng)
-            state2, _ = world.step(state, Action(a))
+            state2, _ = world.step(state, a)
             obs2 = world.observe(state2)
             history.append(self.codec.obs_vec(obs2))
             sp_hist = self.codec.stack_history(history)

@@ -5,6 +5,11 @@ binary entries) followed by the per-column depth channel normalized by the
 view depth (W entries).  The high-level nets see a fixed-length history of
 frames (zero-padded at episode start) plus a one-hot goal; the low-level
 nets see the current frame plus one-hot goal and/or sub-goal context.
+
+Per-step encodings depend only on the observation, goal or sub-goal, so the
+codec computes each once and hands out one shared read-only array: the
+frame of each `Observation` (the `World` shares one per pose), the zero
+frame that pads a new history, and the goal and sub-goal one-hots.
 """
 from __future__ import annotations
 
@@ -15,7 +20,18 @@ import numpy as np
 from .gridworld import Observation, World
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class FeatureCodec:
+    """Encodes observations, histories, goals and sub-goals as net inputs.
+
+    `obs_vec`, `new_history`'s padding, `goal_onehot` and `subgoal_onehot`
+    return shared read-only arrays, each computed once; `stack_history`
+    and the `*_input` methods return new arrays."""
+
     def __init__(self, world: World, n_subgoal_slots: int, history_len: int = 4):
         self.n_labels = world.n_labels
         self.fov_depth = world.fov_depth
@@ -25,6 +41,10 @@ class FeatureCodec:
         self.frame_dim = (
             self.n_labels * self.fov_depth * self.fov_width + self.fov_width
         )
+        self._frames: dict[Observation, np.ndarray] = {}
+        self._zero_frame = _read_only(np.zeros(self.frame_dim))
+        self._goal_rows = tuple(_read_only(np.eye(self.n_labels)))
+        self._subgoal_rows = tuple(_read_only(np.eye(self.n_subgoal_slots)))
 
     @property
     def high_dim(self) -> int:
@@ -39,34 +59,32 @@ class FeatureCodec:
         return self.frame_dim + self.n_subgoal_slots
 
     def obs_vec(self, obs: Observation) -> np.ndarray:
-        out = np.empty(self.frame_dim)
-        nv = self.n_labels * self.fov_depth * self.fov_width
-        out[:nv] = obs.visibility.ravel()
-        out[nv:] = obs.depth / self.fov_depth
+        """The observation's frame, read-only and computed once per
+        `Observation` object."""
+        out = self._frames.get(obs)
+        if out is None:
+            out = np.empty(self.frame_dim)
+            nv = self.n_labels * self.fov_depth * self.fov_width
+            out[:nv] = obs.visibility.ravel()
+            out[nv:] = obs.depth / self.fov_depth
+            out = self._frames[obs] = _read_only(out)
         return out
 
     def new_history(self) -> deque:
-        h = deque(maxlen=self.history_len)
-        for _ in range(self.history_len):
-            h.append(np.zeros(self.frame_dim))
-        return h
+        return deque([self._zero_frame] * self.history_len, maxlen=self.history_len)
 
     def stack_history(self, history: deque) -> np.ndarray:
         # oldest frame first, current frame last; read-only, so that
         # consecutive transitions can share one stacked history
-        out = np.concatenate(list(history))
+        out = np.concatenate(history)
         out.setflags(write=False)
         return out
 
     def goal_onehot(self, g: int) -> np.ndarray:
-        out = np.zeros(self.n_labels)
-        out[g] = 1.0
-        return out
+        return self._goal_rows[g]
 
     def subgoal_onehot(self, sg: int) -> np.ndarray:
-        out = np.zeros(self.n_subgoal_slots)
-        out[sg] = 1.0
-        return out
+        return self._subgoal_rows[sg]
 
     def high_input(self, hist_vec: np.ndarray, g: int) -> np.ndarray:
         return np.concatenate([hist_vec, self.goal_onehot(g)])

@@ -110,9 +110,18 @@ class ObjectInstance:
 
 @dataclass(frozen=True)
 class AgentPose:
+    """Hashes as `(x, y, heading)` does; the hash is computed once, since
+    every table of a `World` is keyed by pose."""
+
     x: int
     y: int
     heading: Heading
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.x, self.y, self.heading)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -133,12 +142,13 @@ class EpisodeSpec:
             raise ConfigError("max_atomic_steps must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observation:
     """Egocentric view: `visibility[label, d-1, o + fov_width//2]` marks an
     instance of `label` at depth d, lateral offset o, with clear line of
     sight.  `depth[o + fov_width//2]` is the distance to the first wall in
-    that column (capped at the view depth)."""
+    that column (capped at the view depth).  Observations compare and hash
+    by identity, so each can key a table of what is derived from it."""
 
     visibility: np.ndarray
     depth: np.ndarray
@@ -186,6 +196,10 @@ class World:
     kept in a table: the transitions under each action, the observation,
     the labels whose goal test holds, and the distance to each label.  A
     World must therefore not be changed after it is built.
+
+    The tables hold one canonical `AgentPose` object per pose: `reset` and
+    `step` hand back only canonical poses, so an episode's lookups match
+    their keys by identity, with no field-by-field comparison.
     """
 
     def __init__(
@@ -221,6 +235,7 @@ class World:
             if o.blocking:
                 self._blocked.add(o.cell)
         # per-pose tables, filled on first use
+        self._poses: dict[AgentPose, AgentPose] = {}  # the canonical object per pose
         self._cells: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per cell
         self._moves: dict[AgentPose, tuple] = {}  # (next pose, collided) per action
         self._views: dict[AgentPose, Observation] = {}
@@ -251,6 +266,9 @@ class World:
             )
         return list(self._free)
 
+    def _canonical(self, pose: AgentPose) -> AgentPose:
+        return self._poses.setdefault(pose, pose)
+
     def cell(self, pose: AgentPose) -> tuple[int, int]:
         """The (x, y) cell of `pose`, as one tuple object shared by every
         caller, so that long episode paths hold no copies."""
@@ -260,7 +278,7 @@ class World:
     # ----- episode dynamics -------------------------------------------------
 
     def reset(self, spec: EpisodeSpec) -> State:
-        pose = spec.start
+        pose = self._canonical(spec.start)
         if not self.passable(pose.x, pose.y):
             raise ConfigError(f"start cell {(pose.x, pose.y)} is not free")
         if not self.label_cells(spec.goal_label):
@@ -282,17 +300,19 @@ class World:
         return State(pose=pose, steps=state.steps + 1), collided
 
     def _fill_moves(self, pose: AgentPose) -> tuple:
+        pose = self._canonical(pose)
         heading = Heading(pose.heading)
         moves = []
         for action in Action:
             if action in (Action.TURN_LEFT, Action.TURN_RIGHT):
                 delta = 1 if action == Action.TURN_RIGHT else -1
-                moves.append((AgentPose(pose.x, pose.y, Heading((heading + delta) % 4)), False))
+                nxt = AgentPose(pose.x, pose.y, Heading((heading + delta) % 4))
+                moves.append((self._canonical(nxt), False))
                 continue
             dx, dy = _rot_vec(HEADING_VECS[heading], _MOVE_ROT[action])
             x, y = pose.x + dx, pose.y + dy
             if self.passable(x, y):
-                moves.append((AgentPose(x, y, heading), False))
+                moves.append((self._canonical(AgentPose(x, y, heading)), False))
             else:
                 moves.append((pose, True))
         moves = self._moves[pose] = tuple(moves)
@@ -321,6 +341,7 @@ class World:
         return view
 
     def _fill_view(self, pose: AgentPose) -> Observation:
+        pose = self._canonical(pose)
         half = self.fov_width // 2
         vis = np.zeros((self.n_labels, self.fov_depth, self.fov_width), dtype=np.uint8)
         depth = np.full(self.fov_width, self.fov_depth, dtype=np.int64)
@@ -359,6 +380,7 @@ class World:
         return goal_label in labels
 
     def _fill_goals(self, pose: AgentPose) -> frozenset[int]:
+        pose = self._canonical(pose)
         agent_cell = (pose.x, pose.y)
         labels = set()
         for d, o, x, y in self.fov_cells(pose):

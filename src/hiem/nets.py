@@ -24,12 +24,10 @@ def relu(x):
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, so
+    that exp never overflows; both forms share e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _he_init(fan_in, fan_out, rng):

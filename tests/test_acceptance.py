@@ -412,6 +412,7 @@ def bench_means(tmp_path_factory, bench15):
     return means
 
 
+@pytest.mark.slow
 class TestCriterion8Ordering:
     def test_sr_ordering(self, bench_means):
         m = bench_means
@@ -435,6 +436,7 @@ class TestCriterion8Ordering:
                f"hiem SR {bench_means['hiem']['SR']:.3f} >= 0.95")
 
 
+@pytest.mark.slow
 class TestCriterion9EarlyTermination:
     def test_hiem_low_shorter_than_hdqn(self, bench_means):
         m = bench_means

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 from collections import deque
 
 import numpy as np
@@ -498,3 +500,43 @@ class TestTablesMatchPerCallComputation:
         for a in (-1, 6):
             with pytest.raises(ValueError):
                 open7.step(s, a)
+
+
+class TestAgentPose:
+    def test_hash_is_the_field_tuple_hash(self):
+        for x, y, h in itertools.product(range(-1, 4), range(3), Heading):
+            a, b = AgentPose(x, y, h), AgentPose(x, y, Heading(int(h)))
+            assert a == b and a is not b
+            assert hash(a) == hash(b) == hash((x, y, h)) == hash((x, y, int(h)))
+        assert AgentPose(1, 2, Heading.EAST) != AgentPose(2, 1, Heading.EAST)
+
+    def test_replace_and_pickle_keep_equality_and_hash(self):
+        pose = AgentPose(3, 4, Heading.SOUTH)
+        moved = dataclasses.replace(pose, x=5)
+        assert moved == AgentPose(5, 4, Heading.SOUTH)
+        assert hash(moved) == hash((5, 4, Heading.SOUTH)) != hash(pose)
+        assert dataclasses.replace(moved, x=3) == pose
+        assert hash(dataclasses.replace(moved, x=3)) == hash(pose)
+        back = pickle.loads(pickle.dumps(pose))
+        assert back == pose and hash(back) == hash(pose) and back is not pose
+        assert {pose: 1}[back] == 1
+
+    def test_hand_built_start_finds_the_tables_of_stepped_poses(self, bench15):
+        w = bench15
+        label = w.labels_present()[0]
+        for pose in all_poses(w):
+            # a turn there and back hands back the table's own pose object
+            turned, _ = w.step(State(pose), Action.TURN_LEFT)
+            stepped, _ = w.step(turned, Action.TURN_RIGHT)
+            assert stepped.pose == pose
+            assert w.step(turned, Action.TURN_RIGHT)[0].pose is stepped.pose
+            built = AgentPose(pose.x, pose.y, Heading(int(pose.heading)))
+            if w.passable(pose.x, pose.y):
+                spec = EpisodeSpec(start=built, goal_label=label)
+                assert w.reset(spec).pose is stepped.pose
+            for s in (State(built), State(pickle.loads(pickle.dumps(built)))):
+                assert w.observe(s) is w.observe(stepped)
+                for g in range(w.n_labels):
+                    assert w.is_goal_state(s, g) == w.is_goal_state(stepped, g)
+                for a in Action:
+                    assert w.step(s, a)[0].pose is w.step(stepped, a)[0].pose

@@ -13,6 +13,7 @@ from hiem.agent import (
     STOP_SUBGOAL,
     ValueDriftError,
 )
+from hiem.config import load_config
 from hiem.gridworld import Action, AgentPose, EpisodeSpec, Heading, State
 from hiem.mapfile import parse_map_text
 from hiem.nets import ConstantSchedule
@@ -539,3 +540,28 @@ class TestValueFunctionIdentity:
             lhs = q_low[(pose, a)]
             rhs = rollout_value(pose)
             assert abs(lhs - rhs) < 1e-6
+
+
+class TestParamsValidation:
+    """Counts that the training loop divides by, stacks or sizes nets with
+    must be at least 1; below that, training used to fail mid-run (a
+    ZeroDivisionError for target_sync or train_every, np.stack of an empty
+    batch) or build nets that see no frame (history_len)."""
+
+    COUNTS = ("target_sync", "train_every", "batch_size", "history_len", "max_low_level")
+
+    @pytest.mark.parametrize("name", COUNTS)
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_are_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            HiemParams(**{name: value})
+
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_config_override_below_one_is_rejected(self, name):
+        cfg = load_config(None, [f"params.{name}=0"])
+        with pytest.raises(ValueError, match=name):
+            cfg.hiem_params()
+
+    def test_one_is_accepted(self):
+        p = HiemParams(**{name: 1 for name in self.COUNTS})
+        assert all(getattr(p, name) == 1 for name in self.COUNTS)

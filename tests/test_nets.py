@@ -11,6 +11,7 @@ from hiem.nets import (
     Sgd,
     SharedTrunkNet,
     clone_net,
+    sigmoid,
     sync_target,
     train_q_step,
     train_step,
@@ -69,6 +70,28 @@ class TestForward:
         net = Mlp([5, 8, 4], rng, output="sigmoid")
         out = net.forward(rng.normal(size=(10, 5)))
         assert ((out > 0) & (out < 1)).all()
+
+    def test_sigmoid_bitwise_equals_the_masked_two_branch_form(self):
+        def reference(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        rng = np.random.default_rng(5)
+        cases = [rng.normal(size=(rows, cols)) * scale
+                 for rows in (1, 3, 32) for cols in (1, 7, 65)
+                 for scale in (1e-3, 1.0, 30.0, 800.0)]
+        cases.append(np.array([[0.0, -0.0, 5e-324, -5e-324, 709.0, -709.0, 745.0,
+                                -745.0, 1e3, -1e3, 1e308, -1e308, np.inf, -np.inf]]))
+        for x in cases:
+            with np.errstate(over="ignore"):
+                want = reference(x)
+            got = sigmoid(x)
+            assert got.shape == x.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestGradients:
