@@ -115,8 +115,11 @@ class AnonymousOptionSpace:
 
 @dataclass
 class Transition:
-    s_hist: np.ndarray
-    sp_hist: np.ndarray
+    """One atomic step.  In eval mode only the scalars are kept:
+    `s_hist`, `sp_hist` and `valid_after` are None."""
+
+    s_hist: Optional[np.ndarray]
+    sp_hist: Optional[np.ndarray]
     g: int
     sg: int
     a: int
@@ -124,7 +127,7 @@ class Transition:
     r_i: float
     goal_reached: bool
     subgoal_reached: bool
-    valid_after: np.ndarray  # proposable-sub-goal mask at s'
+    valid_after: Optional[np.ndarray]  # proposable-sub-goal mask at s'
 
 
 @dataclass
@@ -132,7 +135,8 @@ class OptionTrace:
     sg: int
     sg_name: str
     behavior: str  # "low" | "proxy" | "random"
-    transitions: list = field(default_factory=list)  # Transition; hiem only
+    # Transition per step, hiem only; eval-mode ones hold no arrays
+    transitions: list = field(default_factory=list)
     stop_reason: str = ""
     path: list = field(default_factory=list)  # (x, y) after each step
 
@@ -167,6 +171,31 @@ def start_episode(world: World, spec: EpisodeSpec):
     record = EpisodeRecord(goal=g, goal_name=world.label_names[g],
                            start=(pose.x, pose.y, int(pose.heading)))
     return state, record
+
+
+class FrameMemo:
+    """Values computed once per distinct input within one eval query.
+
+    An input is a `kind` (any hashable: which value, and for which
+    sub-goal) and a sequence of frames.  The codec shares one read-only
+    frame per `Observation` and the goal is fixed per query, so frames are
+    keyed by identity; each entry keeps its frames, so no id is recycled
+    while the memo lives.  Eval is greedy, so a value depends on its input
+    alone while the weights stay fixed: a memo serves one query and is
+    dropped when the query returns."""
+
+    def __init__(self):
+        self.entries: dict[tuple, tuple] = {}
+
+    def get(self, kind, frames, compute):
+        """The value for (`kind`, `frames`): `compute(frames)` on first
+        use, with `frames` as a tuple."""
+        key = (kind, *map(id, frames))
+        entry = self.entries.get(key)
+        if entry is None:
+            frames = tuple(frames)
+            entry = self.entries[key] = (frames, compute(frames))
+        return entry[1]
 
 
 # ----- hyper-parameters -----------------------------------------------------
@@ -295,14 +324,20 @@ class HiemAgent(ReplayLearner):
 
     # -- policies ------------------------------------------------------------
 
-    def propose_subgoal(self, hist_vec, g, visible_labels, eps, rng) -> int:
+    def propose_subgoal(self, hist_vec, g, visible_labels, eps, rng, q_row=None) -> int:
+        """Greedy (or eps-random) pick among the proposable sub-goals.  The
+        high net's Q row at `hist_vec` is computed only when the pick needs
+        it, or read from `q_row()` when given (an eval query's memo)."""
         mask = self.space.valid_mask(visible_labels)
         valid = np.flatnonzero(mask)
         if len(valid) == 1:
             return int(valid[0])
         if eps > 0 and rng.random() < eps:
             return int(valid[rng.integers(len(valid))])
-        q = self.high.q_values(self.codec.high_input(hist_vec, g))[0]
+        if q_row is None:
+            q = self.high.q_values(self.codec.high_input(hist_vec, g))[0]
+        else:
+            q = q_row()
         q = np.where(mask, q, -np.inf)
         return int(np.argmax(q))
 
@@ -493,6 +528,24 @@ class HiemAgent(ReplayLearner):
             return "proxy"
         return "proxy" if rng.random() < alpha else "low"
 
+    def _eval_high(self, memo: FrameMemo, history, g):
+        """The high net's (Q row, termination row) at `history`: one
+        forward per distinct history in an eval query."""
+        def forward(frames):
+            x = self.codec.high_input(self.codec.stack_history(frames), g)
+            q, term = self.high.forward_both(x)
+            return q[0], term[0]
+        return memo.get("high", history, forward)
+
+    def _eval_action(self, memo: FrameMemo, behavior, frame, g, sg, rng) -> int:
+        """The greedy low-level or proxy action at `frame`: one per
+        distinct (behaviour, sub-goal, frame) in an eval query."""
+        if behavior == "proxy":
+            act = lambda frames: self.act_proxy(frames[0], sg, 0.0, rng)
+        else:
+            act = lambda frames: self.act_low(frames[0], g, sg, 0.0, rng)
+        return memo.get((behavior, sg), (frame,), act)
+
     def run_option(
         self,
         state,
@@ -507,10 +560,13 @@ class HiemAgent(ReplayLearner):
         atomic_so_far,
         max_atomic=None,
         s_hist=None,
+        memo=None,
     ):
         """Execute one option.  Returns (trace, state, obs, atomic_steps_now,
-        episode_done, success).  `s_hist` is the stacked `history`, when
-        the caller has it already.
+        episode_done, success).  In train mode `s_hist` is the stacked
+        `history`, when the caller has it already.  Eval mode is greedy
+        and reads net outputs from `memo`, the query's `FrameMemo` (a new
+        one when None); it stacks a history only on a memo miss.
 
         After each step the option stops at the first of: the goal is
         reached, the episode's step cap is hit, the sub-goal is reached,
@@ -518,18 +574,28 @@ class HiemAgent(ReplayLearner):
         p = self.params
         if max_atomic is None:
             max_atomic = p.max_atomic
+        train = mode == "train"
+        if train:
+            if s_hist is None:
+                s_hist = self.codec.stack_history(history)
+        else:
+            if eps_low:
+                raise ValueError("eval mode is greedy: eps_low must be 0")
+            s_hist = None
+            if memo is None:
+                memo = FrameMemo()
+        sp_hist = valid_after = None
         behavior = self._pick_behavior(sg, alpha, rng)
         trace = OptionTrace(sg=sg, sg_name=self.space.name(sg), behavior=behavior)
         atomic = atomic_so_far
         success = False
         done = False
-        train = mode == "train"
-        if s_hist is None:
-            s_hist = self.codec.stack_history(history)
         while True:
             frame = history[-1]
             if behavior == "random":
                 a = int(rng.integers(N_ACTIONS))
+            elif not train:
+                a = self._eval_action(memo, behavior, frame, g, sg, rng)
             elif behavior == "proxy":
                 a = self.act_proxy(frame, sg, eps_low, rng)
             else:
@@ -537,7 +603,9 @@ class HiemAgent(ReplayLearner):
             state2, _collided = self.world.step(state, a)
             obs2 = self.world.observe(state2)
             history.append(self.codec.obs_vec(obs2))
-            sp_hist = self.codec.stack_history(history)
+            if train:
+                sp_hist = self.codec.stack_history(history)
+                valid_after = self.space.valid_mask(obs2.visible_labels)
             atomic += 1
 
             goal_reached = self.world.is_goal_state(state2, g)
@@ -552,7 +620,7 @@ class HiemAgent(ReplayLearner):
                 r_i=1.0 if subgoal_reached else 0.0,
                 goal_reached=goal_reached,
                 subgoal_reached=subgoal_reached,
-                valid_after=self.space.valid_mask(obs2.visible_labels),
+                valid_after=valid_after,
             )
             trace.transitions.append(tr)
             trace.path.append(self.world.cell(state2.pose))
@@ -575,11 +643,12 @@ class HiemAgent(ReplayLearner):
                 trace.stop_reason = STOP_STEP_CAP
                 break
             if sg != self.space.random_index and not p.force_term_zero:
-                tp = self.term_prob(sp_hist, g, sg)
-                if mode == "eval" and p.term_threshold_eval:
-                    fire = tp > 0.5
-                else:
+                if train:
+                    tp = self.term_prob(sp_hist, g, sg)
                     fire = rng.random() < tp
+                else:
+                    tp = self._eval_high(memo, history, g)[1][sg]
+                    fire = tp > 0.5 if p.term_threshold_eval else rng.random() < tp
                 if fire:
                     trace.stop_reason = STOP_TERMINATED
                     break
@@ -588,11 +657,14 @@ class HiemAgent(ReplayLearner):
     def run_episode(
         self, spec: EpisodeSpec, mode: str = "train", episode_idx: int = 0, rng=None
     ) -> EpisodeRecord:
+        """One episode.  An eval-mode episode (a query) keeps one
+        `FrameMemo` for its net outputs and drops it when it returns."""
         if mode not in ("train", "eval"):
             raise ValueError(f"unknown mode {mode!r}")
         if rng is None:
             rng = self.rng
         p = self.params
+        train = mode == "train"
         g = spec.goal_label
         state, record = start_episode(self.world, spec)
         history = self.codec.new_history()
@@ -604,16 +676,22 @@ class HiemAgent(ReplayLearner):
         eps_l = 0.0 if mode == "eval" else float(p.eps_low.value(episode_idx))
         atomic = 0
         success = done = self.world.is_goal_state(state, g)
-        hist_vec = self.codec.stack_history(history)
+        if train:
+            memo = q_row = None
+            hist_vec = self.codec.stack_history(history)
+        else:
+            memo = FrameMemo()
+            q_row = lambda: self._eval_high(memo, history, g)[0]
+            hist_vec = None
         while not done:
-            sg = self.propose_subgoal(hist_vec, g, obs.visible_labels, eps_h, rng)
+            sg = self.propose_subgoal(hist_vec, g, obs.visible_labels, eps_h, rng, q_row)
             trace, state, obs, atomic, done, success = self.run_option(
                 state, obs, history, g, sg, mode, alpha, eps_l, rng, atomic,
-                max_atomic=max_atomic, s_hist=hist_vec,
+                max_atomic=max_atomic, s_hist=hist_vec, memo=memo,
             )
             record.options.append(trace)
-            # the stacked history after the option's last step
+            # the stacked history after the option's last step (None in eval)
             hist_vec = trace.transitions[-1].sp_hist
-        if mode == "train":
+        if train:
             self.episodes_done += 1
         return record.close(success, atomic, p.gamma)

@@ -22,6 +22,7 @@ from .agent import (
     STOP_EPISODE_CAP,
     STOP_GOAL,
     AnonymousOptionSpace,
+    FrameMemo,
     HiemAgent,
     HiemParams,
     LabelSubgoalSpace,
@@ -178,10 +179,14 @@ class FlatDqnAgent(ReplayLearner):
                         self.net, self.net_t, self.opt)]
 
     def run_episode(self, spec: EpisodeSpec, mode="train", episode_idx=0, rng=None):
+        """One episode.  An eval-mode episode (a query) keeps one
+        `FrameMemo` of the greedy action per history, and stacks a history
+        only on a memo miss."""
         if rng is None:
             rng = self.rng
         p = self.params
         world = self.world
+        train = mode == "train"
         g = spec.goal_label
         state, record = start_episode(world, spec)
         history = self.codec.new_history()
@@ -190,31 +195,36 @@ class FlatDqnAgent(ReplayLearner):
         max_atomic = min(p.max_atomic, spec.max_atomic_steps)
         trace = OptionTrace(sg=0, sg_name="dqn", behavior="low")
         success = world.is_goal_state(state, g)
-        hist_vec = self.codec.stack_history(history)
+        if train:
+            hist_vec = self.codec.stack_history(history)
+        else:
+            memo = FrameMemo()
+            greedy = lambda frames: self.act(self.codec.stack_history(frames), g, 0.0, rng)
         while not success:
-            a = self.act(hist_vec, g, eps, rng)
-            state2, _ = world.step(state, a)
-            obs2 = world.observe(state2)
-            history.append(self.codec.obs_vec(obs2))
-            sp_hist = self.codec.stack_history(history)
-            success = world.is_goal_state(state2, g)
-            tr = DqnTransition(
-                s_hist=hist_vec,
-                sp_hist=sp_hist,
-                g=g,
-                a=a,
-                r_e=1.0 if success else 0.0,
-                goal_reached=success,
-            )
-            trace.path.append(world.cell(state2.pose))
-            state, hist_vec = state2, sp_hist
-            if mode == "train":
-                self._push(tr)
+            if train:
+                a = self.act(hist_vec, g, eps, rng)
+            else:
+                a = memo.get("act", history, greedy)
+            state, _ = world.step(state, a)
+            history.append(self.codec.obs_vec(world.observe(state)))
+            success = world.is_goal_state(state, g)
+            trace.path.append(world.cell(state.pose))
+            if train:
+                sp_hist = self.codec.stack_history(history)
+                self._push(DqnTransition(
+                    s_hist=hist_vec,
+                    sp_hist=sp_hist,
+                    g=g,
+                    a=a,
+                    r_e=1.0 if success else 0.0,
+                    goal_reached=success,
+                ))
+                hist_vec = sp_hist
             if trace.length >= max_atomic:
                 break
         trace.stop_reason = STOP_GOAL if success else STOP_EPISODE_CAP
         record.options = [trace] if trace.length else []
-        if mode == "train":
+        if train:
             self.episodes_done += 1
         return record.close(success, trace.length, p.gamma)
 

@@ -9,7 +9,9 @@ nets see the current frame plus one-hot goal and/or sub-goal context.
 Per-step encodings depend only on the observation, goal or sub-goal, so the
 codec computes each once and hands out one shared read-only array: the
 frame of each `Observation` (the `World` shares one per pose), the zero
-frame that pads a new history, and the goal and sub-goal one-hots.
+frame that pads a new history, and the goal and sub-goal one-hots.  An
+eval query keys its memo of net outputs by the identities of these
+frames (`agent.FrameMemo`).
 """
 from __future__ import annotations
 

@@ -5,7 +5,10 @@ that `run_method` wrote before the four agents shared one episode skeleton
 and one replay-learner base, and the SHA-256 of the final checkpoint.
 `data/golden/bench15/<method>.jsonl` holds, per seeded eval query of a
 small policy trained on bench15, the actions, path and success that
-`eval_paths` wrote before the eval step shared its per-pose values.  A
+`eval_paths` wrote before the eval step shared its per-pose values (the
+`hiem_proxy` and `hiem_term` files, before eval queries memoized their net
+outputs).  `data/golden/bench15_untrained/<method>.jsonl` holds the same
+for policies that were never trained, written before that memo too.  A
 refactor of the agents leaves all of them unchanged; a change whose point
 is to change them rewrites the files with `run_method` or `eval_paths`
 and says why.
@@ -81,16 +84,24 @@ BENCH15 = [
     "params.buffer_capacity=200",
     "params.target_sync=10",
 ]
-PATH_METHODS = ("hiem", "oc", "dqn")
+PATH_METHODS = ("hiem", "oc", "dqn", "hiem_proxy", "hiem_term")
 PATH_QUERIES = 20
 PATH_SEED = 3
 
+# The trained hierarchical policies above run only the random sub-goal on
+# these queries.  Untrained ones also propose labels, so their queries run
+# the low-level policy (hiem, hiem_term), the proxy policy (hiem_low,
+# force_alpha=1), termination draws (hiem, hiem_low) and none (hiem_term).
+UNTRAINED = ["run.train_episodes=0"]
+UNTRAINED_METHODS = ("hiem", "hiem_low", "hiem_term")
 
-def eval_paths(method: str, out_dir: Path) -> str:
+
+def eval_paths(method: str, out_dir: Path, overrides=()) -> str:
     """Train a small policy on bench15 with seed 0, then answer
     PATH_QUERIES seeded eval queries; one JSON line per query with its
-    start, goal, success, actions (as passed to `World.step`) and path."""
-    cfg = load_config(None, BENCH15)
+    start, goal, success, actions (as passed to `World.step`) and path.
+    `overrides` are applied after BENCH15."""
+    cfg = load_config(None, BENCH15 + list(overrides))
     world = load_map(builtin_fixture(cfg.get("run", "fixture")))
     mcfg = MethodConfig(method=method, option_count=cfg.get("params", "option_count"))
     agent = build_agent(world, mcfg, cfg.hiem_params(), cfg.get("run", "seed"))
@@ -125,3 +136,9 @@ def eval_paths(method: str, out_dir: Path) -> str:
 def test_bench15_eval_paths_match_golden_files(tmp_path, method):
     got = eval_paths(method, tmp_path)
     assert got == (GOLDEN / "bench15" / f"{method}.jsonl").read_text(), method
+
+
+@pytest.mark.parametrize("method", UNTRAINED_METHODS)
+def test_untrained_bench15_eval_paths_match_golden_files(tmp_path, method):
+    got = eval_paths(method, tmp_path, UNTRAINED)
+    assert got == (GOLDEN / "bench15_untrained" / f"{method}.jsonl").read_text(), method

@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hiem import agent as agent_module
 from hiem.agent import (
+    AnonymousOptionSpace,
     HiemAgent,
     HiemParams,
     LabelSubgoalSpace,
@@ -11,11 +15,13 @@ from hiem.agent import (
     STOP_GOAL,
     STOP_STEP_CAP,
     STOP_SUBGOAL,
+    STOP_TERMINATED,
     ValueDriftError,
 )
 from hiem.config import load_config
-from hiem.gridworld import Action, AgentPose, EpisodeSpec, Heading, State
+from hiem.gridworld import Action, AgentPose, EpisodeSpec, Heading, N_ACTIONS, State
 from hiem.mapfile import parse_map_text
+from hiem.metrics import evaluate, sample_episode_specs
 from hiem.nets import ConstantSchedule
 
 CORRIDOR = """\
@@ -485,6 +491,146 @@ goal_distance = 1
             assert 0 <= tr.sg < ag.space.n
             assert tr.g == 0
             assert tr.valid_after[ag.space.random_index]
+
+
+def reference_eval(ag, spec, rng):
+    """An eval query as it ran before eval queries kept a memo: stack the
+    history and run each net forward at every step.  Returns the query's
+    actions, path, (sub-goal, behaviour, stop reason) per option and
+    success."""
+    world, codec, p = ag.world, ag.codec, ag.params
+    g = spec.goal_label
+    state = world.reset(spec)
+    history = codec.new_history()
+    obs = world.observe(state)
+    history.append(codec.obs_vec(obs))
+    max_atomic = min(p.max_atomic, spec.max_atomic_steps)
+    alpha = 0.0 if p.force_alpha is None else p.force_alpha
+    actions, path, options = [], [], []
+    done = success = world.is_goal_state(state, g)
+    while not done:
+        q = ag.high.q_values(codec.high_input(codec.stack_history(history), g))[0]
+        sg = int(np.argmax(np.where(ag.space.valid_mask(obs.visible_labels), q, -np.inf)))
+        if sg == ag.space.random_index:
+            behavior = "random"
+        else:
+            behavior = "proxy" if ag.space.has_intrinsic and alpha >= 1 else "low"
+        steps, stop = 0, None
+        while stop is None:
+            frame = history[-1]
+            if behavior == "random":
+                a = int(rng.integers(N_ACTIONS))
+            elif behavior == "proxy":
+                a = int(np.argmax(ag.low_int.forward(codec.low_int_input(frame, sg))[0]))
+            else:
+                a = int(np.argmax(ag.low_ext.forward(codec.low_ext_input(frame, g, sg))[0]))
+            state, _ = world.step(state, a)
+            obs = world.observe(state)
+            history.append(codec.obs_vec(obs))
+            actions.append(a)
+            path.append(world.cell(state.pose))
+            steps += 1
+            if world.is_goal_state(state, g):
+                stop, done, success = STOP_GOAL, True, True
+            elif len(actions) >= max_atomic:
+                stop, done = STOP_EPISODE_CAP, True
+            elif ag.space.is_achieved(world, state, sg):
+                stop = STOP_SUBGOAL
+            elif steps >= p.max_low_level:
+                stop = STOP_STEP_CAP
+            elif sg != ag.space.random_index and not p.force_term_zero:
+                x = codec.high_input(codec.stack_history(history), g)
+                tp = ag.high.term_probs(x)[0, sg]
+                if (tp > 0.5) if p.term_threshold_eval else (rng.random() < tp):
+                    stop = STOP_TERMINATED
+        options.append((sg, behavior, stop))
+    return actions, path, options, success
+
+
+def answer(ag, spec, seed):
+    """`reference_eval`'s tuple for the agent's own eval query."""
+    rec = ag.run_episode(spec, mode="eval", rng=np.random.default_rng(seed))
+    return ([t.a for o in rec.options for t in o.transitions],
+            [c for o in rec.options for c in o.path],
+            [(o.sg, o.behavior, o.stop_reason) for o in rec.options],
+            rec.success)
+
+
+def eval_specs(world, n=30):
+    return [spec for spec, _ in sample_episode_specs(world, n, seed=9, max_atomic_steps=120)]
+
+
+class TestEvalMemo:
+    """Eval queries read each net output from a per-query memo."""
+
+    @pytest.mark.parametrize("variant", [
+        dict(term_threshold_eval=True),
+        dict(),
+        dict(force_alpha=1.0),
+        dict(force_term_zero=True),
+        "oc",
+    ])
+    def test_memo_eval_equals_reference_loop(self, bench15, variant):
+        results = []
+        for seed in range(3):
+            if variant == "oc":
+                params = default_params(100, hidden=(16,))
+                ag = HiemAgent(bench15, AnonymousOptionSpace(4), params, seed)
+            else:
+                ag = small_agent(bench15, seed=seed, **variant)
+            for i, spec in enumerate(eval_specs(bench15)):
+                got = answer(ag, spec, i)
+                assert got == reference_eval(ag, spec, np.random.default_rng(i)), (seed, i)
+                results.append(got)
+        # the queries ran the nets, not only the random sub-goal
+        options = [o for _, _, opts, _ in results for o in opts]
+        behaviors = {b for _, b, _ in options}
+        assert behaviors & {"low", "proxy"}
+        if variant in ("oc", dict(term_threshold_eval=True), dict()):
+            assert any(stop == STOP_TERMINATED for _, _, stop in options)
+
+    def test_new_weights_give_new_answers(self, bench15):
+        specs = eval_specs(bench15, 20)
+        ag, other = small_agent(bench15, seed=0), small_agent(bench15, seed=1)
+        before = [answer(ag, spec, i) for i, spec in enumerate(specs)]
+        ag.set_state(other.get_state())
+        after = [answer(ag, spec, i) for i, spec in enumerate(specs)]
+        assert after == [answer(other, spec, i) for i, spec in enumerate(specs)]
+        assert after != before
+
+    def test_memo_holds_at_most_one_entry_per_step(self, bench15, monkeypatch):
+        memos = []
+
+        class Recording(agent_module.FrameMemo):
+            def __init__(self):
+                super().__init__()
+                memos.append(self)
+
+        monkeypatch.setattr(agent_module, "FrameMemo", Recording)
+        ag = small_agent(bench15, seed=2)
+        _, _, records = evaluate(ag, bench15, 30, seed=9, max_atomic_steps=120)
+        assert len(memos) == len(records)
+        for memo, rec in zip(memos, records):
+            high = [k for k in memo.entries if k[0] == "high"]
+            assert len(high) <= rec.atomic_steps
+            assert len(memo.entries) - len(high) <= rec.atomic_steps
+        assert any(len(m.entries) > 0 for m in memos)
+
+    def test_eval_records_hold_no_arrays(self, bench15):
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return 1
+            if dataclasses.is_dataclass(obj):
+                obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+            if isinstance(obj, (list, tuple)):
+                return sum(arrays(x) for x in obj)
+            return 0
+
+        ag = small_agent(bench15, seed=2)
+        _, _, records = evaluate(ag, bench15, 30, seed=9, max_atomic_steps=120)
+        transitions = [t for r in records for o in r.options for t in o.transitions]
+        assert len(transitions) == sum(r.atomic_steps for r in records) > 0
+        assert arrays(records) == 0
 
 
 class TestValueFunctionIdentity:
