@@ -14,10 +14,15 @@ U(s') mixes continuation and re-planning value through the termination
 probability: (1 - term) * Qh(s', sg) + term * max over valid sub-goals.
 All bootstrap values come from target-network copies and are zeroed at goal
 states.
+
+A train round samples the replay once and turns the sample into one
+`Batch` of arrays.  The high Q learns from every row; the other three
+learners learn from its non-random subset, the rows not under the random
+sub-goal, taken once per round.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -128,6 +133,17 @@ class Transition:
     goal_reached: bool
     subgoal_reached: bool
     valid_after: Optional[np.ndarray]  # proposable-sub-goal mask at s'
+
+
+class Batch:
+    """A replay sample as arrays: one column per `Transition` field, one
+    row per transition."""
+
+    def __init__(self, **columns):
+        self.__dict__.update(columns)
+
+    def __len__(self) -> int:
+        return len(self.g)
 
 
 @dataclass
@@ -314,13 +330,12 @@ class HiemAgent(ReplayLearner):
                 [self.codec.low_int_dim, *p.hidden, N_ACTIONS], self.rng
             )
             self.low_int_t = clone_net(self.low_int)
+            self.opt_low_int = make_optimizer(p.optimizer, p.lr)
         else:
-            self.low_int = None
-            self.low_int_t = None
+            self.low_int = self.low_int_t = self.opt_low_int = None
 
         self.opt_high = make_optimizer(p.optimizer, p.lr)
         self.opt_low_ext = make_optimizer(p.optimizer, p.lr)
-        self.opt_low_int = make_optimizer(p.optimizer, p.lr)
 
     # -- policies ------------------------------------------------------------
 
@@ -396,86 +411,56 @@ class HiemAgent(ReplayLearner):
 
     # -- update rules --------------------------------------------------------
 
-    def _batch_arrays(self, batch):
-        s_hist = np.stack([t.s_hist for t in batch])
-        sp_hist = np.stack([t.sp_hist for t in batch])
-        gs = np.array([t.g for t in batch])
-        sgs = np.array([t.sg for t in batch])
-        acts = np.array([t.a for t in batch])
-        r_e = np.array([t.r_e for t in batch])
-        r_i = np.array([t.r_i for t in batch])
-        goal_reached = np.array([t.goal_reached for t in batch])
-        sub_reached = np.array([t.subgoal_reached for t in batch])
-        valid_after = np.stack([t.valid_after for t in batch])
-        return s_hist, sp_hist, gs, sgs, acts, r_e, r_i, goal_reached, sub_reached, valid_after
+    def _batch_arrays(self, transitions) -> Batch:
+        return Batch(**{f.name: np.array([getattr(t, f.name) for t in transitions])
+                        for f in fields(Transition)})
 
-    def extrinsic_targets(self, batch) -> np.ndarray:
-        """The shared 1-step extrinsic return r_e + gamma * U used by both
-        the high-level and the low-level extrinsic updates."""
-        _, sp_hist, gs, sgs, _, r_e, _, goal_reached, _, valid_after = (
-            self._batch_arrays(batch)
-        )
-        u, _, _ = self._u_batch(sp_hist, gs, sgs, valid_after, goal_reached)
-        return r_e + self.params.gamma * u
-
-    def update_high(self, batch) -> float:
-        s_hist, sp_hist, gs, sgs, _, r_e, _, goal_reached, _, valid_after = (
-            self._batch_arrays(batch)
-        )
-        u, _, _ = self._u_batch(sp_hist, gs, sgs, valid_after, goal_reached)
-        targets = r_e + self.params.gamma * u
-        self._alarm(targets)
-        inputs = self.codec.high_inputs(s_hist, gs)
-        return train_q_step(self.high, self.opt_high, inputs, sgs, targets)
-
-    def update_low_extrinsic(self, batch) -> Optional[float]:
-        batch = self._non_random(batch)
-        if not batch:
-            return None
-        s_hist, sp_hist, gs, sgs, acts, r_e, _, goal_reached, _, valid_after = (
-            self._batch_arrays(batch)
-        )
-        u, _, _ = self._u_batch(sp_hist, gs, sgs, valid_after, goal_reached)
-        targets = r_e + self.params.gamma * u
-        self._alarm(targets)
-        frames = s_hist[:, -self.codec.frame_dim:]
-        inputs = self.codec.low_ext_inputs(frames, gs, sgs)
-        return train_step(self.low_ext, self.opt_low_ext, inputs, acts, targets)
-
-    def update_term(self, batch) -> None:
-        batch = self._non_random(batch)
-        if not batch:
-            return
-        _, sp_hist, gs, sgs, _, _, _, goal_reached, _, valid_after = (
-            self._batch_arrays(batch)
-        )
-        _, q_sg, v_sp = self._u_batch(sp_hist, gs, sgs, valid_after, goal_reached)
-        advantages = q_sg - v_sp
-        inputs = self.codec.high_inputs(sp_hist, gs)
-        train_term_step(self.high, self.opt_high, inputs, sgs, advantages)
-
-    def update_low_intrinsic(self, batch) -> Optional[float]:
-        batch = self._non_random(batch)
-        if not batch:
-            return None
-        s_hist, sp_hist, _, sgs, acts, _, r_i, goal_reached, sub_reached, _ = (
-            self._batch_arrays(batch)
-        )
-        frames_sp = sp_hist[:, -self.codec.frame_dim:]
-        q_sp = self.low_int_t.forward(self.codec.low_int_inputs(frames_sp, sgs))
-        v_i = q_sp.max(axis=1)
-        v_i = np.where(sub_reached | goal_reached, 0.0, v_i)
-        targets = r_i + self.params.gamma * v_i
-        self._alarm(targets)
-        frames = s_hist[:, -self.codec.frame_dim:]
-        inputs = self.codec.low_int_inputs(frames, sgs)
-        return train_step(self.low_int, self.opt_low_int, inputs, acts, targets)
-
-    def _non_random(self, batch):
+    def _non_random(self, batch: Batch) -> Batch:
+        """The rows not under the random sub-goal, in order; `batch` itself
+        when there is no random sub-goal.  `update_low_extrinsic`,
+        `update_term` and `update_low_intrinsic` take this subset, of at
+        least one row."""
         ri = self.space.random_index
         if ri is None:
             return batch
-        return [t for t in batch if t.sg != ri]
+        keep = batch.sg != ri
+        return Batch(**{k: v[keep] for k, v in vars(batch).items()})
+
+    def extrinsic_targets(self, batch: Batch) -> np.ndarray:
+        """The shared 1-step extrinsic return r_e + gamma * U used by both
+        the high-level and the low-level extrinsic updates."""
+        u, _, _ = self._u_batch(batch.sp_hist, batch.g, batch.sg,
+                                batch.valid_after, batch.goal_reached)
+        return batch.r_e + self.params.gamma * u
+
+    def update_high(self, batch: Batch) -> float:
+        targets = self.extrinsic_targets(batch)
+        self._alarm(targets)
+        inputs = self.codec.high_inputs(batch.s_hist, batch.g)
+        return train_q_step(self.high, self.opt_high, inputs, batch.sg, targets)
+
+    def update_low_extrinsic(self, batch: Batch) -> float:
+        targets = self.extrinsic_targets(batch)
+        self._alarm(targets)
+        frames = batch.s_hist[:, -self.codec.frame_dim:]
+        inputs = self.codec.low_ext_inputs(frames, batch.g, batch.sg)
+        return train_step(self.low_ext, self.opt_low_ext, inputs, batch.a, targets)
+
+    def update_term(self, batch: Batch) -> None:
+        _, q_sg, v_sp = self._u_batch(batch.sp_hist, batch.g, batch.sg,
+                                      batch.valid_after, batch.goal_reached)
+        inputs = self.codec.high_inputs(batch.sp_hist, batch.g)
+        train_term_step(self.high, self.opt_high, inputs, batch.sg, q_sg - v_sp)
+
+    def update_low_intrinsic(self, batch: Batch) -> float:
+        frames_sp = batch.sp_hist[:, -self.codec.frame_dim:]
+        q_sp = self.low_int_t.forward(self.codec.low_int_inputs(frames_sp, batch.sg))
+        v_i = np.where(batch.subgoal_reached | batch.goal_reached, 0.0, q_sp.max(axis=1))
+        targets = batch.r_i + self.params.gamma * v_i
+        self._alarm(targets)
+        frames = batch.s_hist[:, -self.codec.frame_dim:]
+        inputs = self.codec.low_int_inputs(frames, batch.sg)
+        return train_step(self.low_int, self.opt_low_int, inputs, batch.a, targets)
 
     def _alarm(self, values):
         p = self.params
@@ -489,15 +474,19 @@ class HiemAgent(ReplayLearner):
             )
 
     def _train_round(self):
+        """One replay sample as one `Batch`: the high Q learns from every
+        row, the other three learners from the non-random subset."""
         p = self.params
-        batch = self.replay.sample(p.batch_size, self.rng)
+        batch = self._batch_arrays(self.replay.sample(p.batch_size, self.rng))
         self.update_high(batch)
-        if p.force_alpha != 1:
-            self.update_low_extrinsic(batch)
-        if not p.force_term_zero:
-            self.update_term(batch)
-        if self.space.has_intrinsic and p.force_alpha != 0:
-            self.update_low_intrinsic(batch)
+        low = self._non_random(batch)
+        if len(low):
+            if p.force_alpha != 1:
+                self.update_low_extrinsic(low)
+            if not p.force_term_zero:
+                self.update_term(low)
+            if self.space.has_intrinsic and p.force_alpha != 0:
+                self.update_low_intrinsic(low)
         self._round_done()
 
     def learners(self) -> list:

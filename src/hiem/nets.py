@@ -294,78 +294,68 @@ def make_optimizer(kind: str, lr: float):
 # ----- training primitives --------------------------------------------------
 
 
-def _check_finite(net):
+def _batch_inputs(inputs, indices, values, what):
+    """The step's arrays as float64/int64; rejects an empty batch and
+    non-finite `values`."""
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
+    indices = np.asarray(indices, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if inputs.shape[0] == 0:
+        raise ValueError("empty batch")
+    if not np.isfinite(values).all():
+        raise NumericsError(f"non-finite {what}: {values}")
+    return inputs, indices, values
+
+
+def _step(net, optimizer, grads) -> None:
+    """One optimizer step on `net`; faults if it leaves a parameter
+    non-finite."""
+    optimizer.step(net.flat, grads)
     if not np.isfinite(net.flat).all():
         raise NumericsError(
             f"non-finite parameters after update in net with sizes {net.sizes}"
         )
 
 
-def train_step(net: Mlp, optimizer, inputs, indices, targets) -> float:
-    """One gradient step on mean squared error between net(inputs)[indices]
-    and targets.  Only the indexed heads' errors propagate.  Returns the
-    pre-step loss."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    indices = np.asarray(indices, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise ValueError("empty batch")
-    if not np.isfinite(targets).all():
-        raise NumericsError(f"non-finite regression targets: {targets}")
-    out = net.forward(inputs)
+def _regression_step(net, optimizer, inputs, indices, targets, forward, backward):
+    inputs, indices, targets = _batch_inputs(inputs, indices, targets,
+                                             "regression targets")
+    out = forward(inputs)
     n = inputs.shape[0]
     rows = np.arange(n)
     err = out[rows, indices] - targets
     loss = float(np.mean(err**2))
     grad_out = np.zeros_like(out)
     grad_out[rows, indices] = 2.0 * err / n
-    grads = net.backward(grad_out)
-    optimizer.step(net.flat, grads)
-    _check_finite(net)
+    _step(net, optimizer, backward(grad_out))
     return loss
+
+
+def train_step(net: Mlp, optimizer, inputs, indices, targets) -> float:
+    """One gradient step on mean squared error between net(inputs)[indices]
+    and targets.  Only the indexed heads' errors propagate.  Returns the
+    pre-step loss."""
+    return _regression_step(net, optimizer, inputs, indices, targets,
+                            net.forward, net.backward)
 
 
 def train_q_step(net: SharedTrunkNet, optimizer, inputs, indices, targets) -> float:
     """Same selected-head MSE step for the shared-trunk net's Q head."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    indices = np.asarray(indices, dtype=np.int64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise ValueError("empty batch")
-    if not np.isfinite(targets).all():
-        raise NumericsError(f"non-finite regression targets: {targets}")
-    out = net.q_values(inputs)
-    n = inputs.shape[0]
-    rows = np.arange(n)
-    err = out[rows, indices] - targets
-    loss = float(np.mean(err**2))
-    grad_q = np.zeros_like(out)
-    grad_q[rows, indices] = 2.0 * err / n
-    grads = net.q_backward(grad_q)
-    optimizer.step(net.flat, grads)
-    _check_finite(net)
-    return loss
+    return _regression_step(net, optimizer, inputs, indices, targets,
+                            net.q_values, net.q_backward)
 
 
 def train_term_step(net: SharedTrunkNet, optimizer, inputs, indices, advantages):
     """Advantage-weighted termination step: descend mean(term[idx] * adv).
     Positive advantage pushes the termination probability down, negative
     pushes it up.  The advantage is a constant (no gradient through it)."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    indices = np.asarray(indices, dtype=np.int64)
-    advantages = np.asarray(advantages, dtype=np.float64)
-    if inputs.shape[0] == 0:
-        raise ValueError("empty batch")
-    if not np.isfinite(advantages).all():
-        raise NumericsError("non-finite advantages")
+    inputs, indices, advantages = _batch_inputs(inputs, indices, advantages,
+                                                "advantages")
     term = net.term_probs(inputs)
     n = inputs.shape[0]
-    rows = np.arange(n)
     grad_t = np.zeros_like(term)
-    grad_t[rows, indices] = advantages / n
-    grads = net.term_backward(grad_t, term)
-    optimizer.step(net.flat, grads)
-    _check_finite(net)
+    grad_t[np.arange(n), indices] = advantages / n
+    _step(net, optimizer, net.term_backward(grad_t, term))
 
 
 def sync_target(online, target) -> None:

@@ -251,7 +251,7 @@ class TestCriterion4TerminationSign:
             q = agent.high_t.q_values(x)[0]
             adv = q[tr.sg] - q.max()
             before = agent.high.term_probs(x)[0, tr.sg]
-            agent.update_term([tr])
+            agent.update_term(agent._batch_arrays([tr]))
             after = agent.high.term_probs(x)[0, tr.sg]
             if adv < 0 and after > before:
                 strict += 1

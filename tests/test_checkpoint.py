@@ -36,6 +36,7 @@ def _update(agent, batch):
     if isinstance(agent, FlatDqnAgent):
         agent.update(batch)
         return
+    batch = agent._batch_arrays(batch)
     agent.update_high(batch)
     agent.update_low_extrinsic(batch)
     agent.update_term(batch)

@@ -212,7 +212,7 @@ class TestUpdates:
         ag = small_agent(bench15)
         rng = np.random.default_rng(0)
         batch = [make_transition(ag, rng, goal=True) for _ in range(4)]
-        assert (ag.extrinsic_targets(batch) == 1.0).all()
+        assert (ag.extrinsic_targets(ag._batch_arrays(batch)) == 1.0).all()
 
     def test_nongoal_term_zero_target_is_discounted_q(self, bench15):
         ag = small_agent(bench15)
@@ -220,23 +220,81 @@ class TestUpdates:
         rng = np.random.default_rng(1)
         tr = make_transition(ag, rng, sg=2)
         q = ag.high_t.q_values(ag.codec.high_input(tr.sp_hist, tr.g))[0]
-        target = ag.extrinsic_targets([tr])[0]
+        target = ag.extrinsic_targets(ag._batch_arrays([tr]))[0]
         assert target == pytest.approx(ag.params.gamma * q[2], abs=1e-12)
 
-    def test_high_and_low_share_targets(self, bench15):
+    def test_high_and_low_share_targets(self, bench15, monkeypatch):
+        # one round on a mixed batch: the low extrinsic targets are the high
+        # targets' non-random rows (to 1e-12: a forward over the subset
+        # differs in the last bits from the same rows of a full forward)
         ag = small_agent(bench15)
         rng = np.random.default_rng(2)
-        batch = [make_transition(ag, rng, sg=i % 3) for i in range(6)]
-        t1 = ag.extrinsic_targets(batch)
-        t2 = ag.extrinsic_targets(batch)
-        assert (t1 == t2).all()
+        for i in range(8):
+            sg = ag.space.random_index if i % 2 else i % 3
+            ag.replay.push(make_transition(ag, rng, sg=sg, goal=i % 3 == 0))
+        seen = {}
+
+        def capture(step):
+            def wrapped(net, opt, inputs, indices, targets):
+                seen.setdefault(id(net), (np.copy(indices), np.copy(targets)))
+                return step(net, opt, inputs, indices, targets)
+            return wrapped
+
+        for name in ("train_q_step", "train_step"):
+            monkeypatch.setattr(agent_module, name, capture(getattr(agent_module, name)))
+        ag._train_round()
+        sgs, high_targets = seen[id(ag.high)]
+        _, low_targets = seen[id(ag.low_ext)]
+        keep = sgs != ag.space.random_index
+        assert 0 < keep.sum() < len(keep) == ag.params.batch_size
+        np.testing.assert_allclose(low_targets, high_targets[keep], rtol=0, atol=1e-12)
 
     def test_random_subgoal_excluded_from_low_updates(self, bench15):
+        # a round over random-sub-goal transitions only trains the Q head
         ag = small_agent(bench15)
         rng = np.random.default_rng(3)
-        batch = [make_transition(ag, rng, sg=ag.space.random_index)]
-        assert ag.update_low_extrinsic(batch) is None
-        assert ag.update_low_intrinsic(batch) is None
+        for _ in range(4):
+            ag.replay.push(make_transition(ag, rng, sg=ag.space.random_index))
+        nets = {"low_ext": ag.low_ext.flat, "low_int": ag.low_int.flat,
+                "tW": ag.high.tW, "tb": ag.high.tb, "qW": ag.high.qW}
+        before = {k: v.copy() for k, v in nets.items()}
+        ag._train_round()
+        for k in ("low_ext", "low_int", "tW", "tb"):
+            assert (nets[k] == before[k]).all(), k
+        assert (nets["qW"] != before["qW"]).any()
+
+    def test_non_random_keeps_the_non_random_rows_in_order(self, bench15):
+        ag = small_agent(bench15)
+        rng = np.random.default_rng(8)
+        ri = ag.space.random_index
+        trs = [make_transition(ag, rng, sg=sg, a=i)
+               for i, sg in enumerate([ri, 0, 2, ri, 1, ri, 2])]
+        b = ag._batch_arrays(trs)
+        assert len(b) == len(trs)
+        low = ag._non_random(b)
+        kept = [t for t in trs if t.sg != ri]
+        assert len(low) == len(kept)
+        assert low.a.tolist() == [t.a for t in kept]
+        assert (low.s_hist == np.stack([t.s_hist for t in kept])).all()
+
+    def test_non_random_is_the_batch_without_a_random_subgoal(self, bench15):
+        params = default_params(100, min_buffer=64, batch_size=16, hidden=(16,))
+        ag = HiemAgent(bench15, AnonymousOptionSpace(3), params, 0)
+        rng = np.random.default_rng(9)
+        b = ag._batch_arrays([make_transition(ag, rng, sg=i) for i in range(3)])
+        assert ag._non_random(b) is b
+
+    def test_round_builds_the_batch_once(self, bench15, monkeypatch):
+        ag = small_agent(bench15)
+        rng = np.random.default_rng(10)
+        for i in range(4):
+            ag.replay.push(make_transition(ag, rng, sg=i % 3))
+        calls = []
+        build = HiemAgent._batch_arrays
+        monkeypatch.setattr(HiemAgent, "_batch_arrays",
+                            lambda self, trs: calls.append(1) or build(self, trs))
+        ag._train_round()
+        assert len(calls) == 1
 
     def test_intrinsic_target_uses_max_and_zeroes_on_achievement(self, bench15):
         ag = small_agent(bench15)
@@ -246,7 +304,7 @@ class TestUpdates:
         before = ag.low_int.forward(
             ag.codec.low_int_input(reached.s_hist[-ag.codec.frame_dim:], 1)
         )[0, reached.a]
-        loss = ag.update_low_intrinsic([reached])
+        loss = ag.update_low_intrinsic(ag._batch_arrays([reached]))
         assert loss == pytest.approx((before - 1.0) ** 2)
 
     def test_term_update_sign(self, bench15):
@@ -261,7 +319,7 @@ class TestUpdates:
             valid = np.ones(ag.space.n, dtype=bool)
             adv = q[1] - q.max()
             before = ag.high.term_probs(x)[0, 1]
-            ag.update_term([tr])
+            ag.update_term(ag._batch_arrays([tr]))
             after = ag.high.term_probs(x)[0, 1]
             if adv < 0:
                 assert after > before
@@ -276,7 +334,7 @@ class TestUpdates:
         ag.high_t.qW[...] = 0.0
         ag.high_t.qb[...] = 0.5
         before = [p.copy() for p in ag.high.params()]
-        ag.update_term([tr])
+        ag.update_term(ag._batch_arrays([tr]))
         for b, a in zip(before, ag.high.params()):
             assert (b == a).all()
 
@@ -288,7 +346,7 @@ class TestUpdates:
         ag.high_t.qb[...] = 50.0  # absurd bootstrap values
         ag.high_t.qW[...] = 0.0
         with pytest.raises(ValueDriftError):
-            ag.update_high([tr])
+            ag.update_high(ag._batch_arrays([tr]))
 
 
 class TestRunOption:
