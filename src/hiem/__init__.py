@@ -1,6 +1,14 @@
 """Hierarchical intrinsic-extrinsic object search on a deterministic
 gridworld, with baselines, metrics and a benchmark harness."""
 
+import os
+
+# One BLAS thread, set before any submodule imports NumPy (BLAS reads it
+# once, when it loads): a training's speed and last bits then do not
+# depend on the machine's core count.  A value the caller set still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .gridworld import (
     Action,
     AgentPose,

@@ -15,14 +15,15 @@ probability: (1 - term) * Qh(s', sg) + term * max over valid sub-goals.
 All bootstrap values come from target-network copies and are zeroed at goal
 states.
 
-A train round samples the replay once and turns the sample into one
-`Batch` of arrays.  The high Q learns from every row; the other three
-learners learn from its non-random subset, the rows not under the random
-sub-goal, taken once per round.
+Replay keeps each train step as one row of frame ids and scalars (see
+`ReplayLearner`).  A train round samples the replay once and turns the
+sample into one `Batch` of arrays.  The high Q learns from every row; the
+other three learners learn from its non-random subset, the rows not under
+the random sub-goal, taken once per round.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -120,8 +121,10 @@ class AnonymousOptionSpace:
 
 @dataclass
 class Transition:
-    """One atomic step.  In eval mode only the scalars are kept:
-    `s_hist`, `sp_hist` and `valid_after` are None."""
+    """One atomic step of an option's trace.  In train mode `s_hist` and
+    `sp_hist` are the stacked histories the agent acted on; replay keeps
+    the step as frame ids and scalars, not this object.  In eval mode only
+    the scalars are kept: `s_hist`, `sp_hist` and `valid_after` are None."""
 
     s_hist: Optional[np.ndarray]
     sp_hist: Optional[np.ndarray]
@@ -136,8 +139,9 @@ class Transition:
 
 
 class Batch:
-    """A replay sample as arrays: one column per `Transition` field, one
-    row per transition."""
+    """A replay sample as arrays, one row per sampled step: the stacked
+    histories `s_hist` and `sp_hist` and the stored scalar fields (for
+    `HiemAgent`, those of `Transition`)."""
 
     def __init__(self, **columns):
         self.__dict__.update(columns)
@@ -271,10 +275,16 @@ def default_params(train_episodes: int, **overrides) -> HiemParams:
 
 class ReplayLearner:
     """What the trainable agents share: the replay buffer, the counters a
-    checkpoint keeps, the train-round trigger, target sync and checkpoint
-    state.  A subclass defines `learners()`, its nets in checkpoint order,
-    and `_train_round()`, which learns from one replay sample and ends
-    with `_round_done()`."""
+    checkpoint keeps, the train-round trigger, the batch builder, the value
+    alarm, target sync and checkpoint state.  A subclass has a `codec`,
+    defines `learners()`, its nets in checkpoint order, and
+    `_train_round()`, which learns from one replay sample and ends with
+    `_round_done()`.
+
+    Replay stores a train step as one row: `frames`, the ids of the
+    `history_len + 1` frames from the oldest of s to the newest of s' in
+    the codec's frame table, then the step's scalars and masks.  No
+    stacked history is stored; `_batch_arrays` rebuilds them."""
 
     def __init__(self, world: World, params: HiemParams, seed: int):
         self.world = world
@@ -285,16 +295,39 @@ class ReplayLearner:
         self.train_rounds = 0
         self.episodes_done = 0
 
-    def _push(self, tr) -> None:
-        """Store one train-mode transition; train a round once replay
-        holds `min_buffer` items, every `train_every` steps."""
+    def _push(self, **row) -> None:
+        """Store one train step's row; train a round once replay holds
+        `min_buffer` rows, every `train_every` steps."""
         p = self.params
-        self.replay.push(tr)
+        self.replay.push(**row)
         self.atomic_steps_total += 1
         if len(self.replay) >= p.min_buffer and (
             self.atomic_steps_total % p.train_every == 0
         ):
             self._train_round()
+
+    def _batch_arrays(self, rows: dict) -> Batch:
+        """Replay rows as one `Batch`.  One index into the codec's frame
+        table stacks each row's histories, `s_hist` from its first
+        `history_len` frame ids and `sp_hist` from its last: the floats of
+        `stack_history`, in the same order."""
+        ids = rows["frames"]
+        n = len(ids)
+        table = self.codec.frames
+        return Batch(s_hist=table[ids[:, :-1]].reshape(n, -1),
+                     sp_hist=table[ids[:, 1:]].reshape(n, -1),
+                     **{k: v for k, v in rows.items() if k != "frames"})
+
+    def _alarm(self, values):
+        p = self.params
+        if not p.value_alarm or self.train_rounds <= p.alarm_warmup:
+            return
+        if values.size and (values.min() < p.alarm_low or values.max() > p.alarm_high):
+            raise ValueDriftError(
+                f"bootstrap values left [{p.alarm_low}, {p.alarm_high}]: "
+                f"min={values.min():.4f} max={values.max():.4f} "
+                f"at train round {self.train_rounds}"
+            )
 
     def _round_done(self) -> None:
         self.train_rounds += 1
@@ -411,9 +444,9 @@ class HiemAgent(ReplayLearner):
 
     # -- update rules --------------------------------------------------------
 
-    def _batch_arrays(self, transitions) -> Batch:
-        return Batch(**{f.name: np.array([getattr(t, f.name) for t in transitions])
-                        for f in fields(Transition)})
+    # the one batch builder, bound on this class too: perfbench's tracer
+    # patches a method on the class that defines it
+    _batch_arrays = ReplayLearner._batch_arrays
 
     def _non_random(self, batch: Batch) -> Batch:
         """The rows not under the random sub-goal, in order; `batch` itself
@@ -461,17 +494,6 @@ class HiemAgent(ReplayLearner):
         frames = batch.s_hist[:, -self.codec.frame_dim:]
         inputs = self.codec.low_int_inputs(frames, batch.sg)
         return train_step(self.low_int, self.opt_low_int, inputs, batch.a, targets)
-
-    def _alarm(self, values):
-        p = self.params
-        if not p.value_alarm or self.train_rounds <= p.alarm_warmup:
-            return
-        if values.size and (values.min() < p.alarm_low or values.max() > p.alarm_high):
-            raise ValueDriftError(
-                f"bootstrap values left [{p.alarm_low}, {p.alarm_high}]: "
-                f"min={values.min():.4f} max={values.max():.4f} "
-                f"at train round {self.train_rounds}"
-            )
 
     def _train_round(self):
         """One replay sample as one `Batch`: the high Q learns from every
@@ -550,9 +572,12 @@ class HiemAgent(ReplayLearner):
         max_atomic=None,
         s_hist=None,
         memo=None,
+        ids=None,
     ):
         """Execute one option.  Returns (trace, state, obs, atomic_steps_now,
-        episode_done, success).  In train mode `s_hist` is the stacked
+        episode_done, success).  In train mode `ids` holds the frame ids of
+        `history` and one slot before it (`FeatureCodec.new_frame_ids`),
+        kept in step with `history`, and `s_hist` is the stacked
         `history`, when the caller has it already.  Eval mode is greedy
         and reads net outputs from `memo`, the query's `FrameMemo` (a new
         one when None); it stacks a history only on a memo miss.
@@ -593,29 +618,33 @@ class HiemAgent(ReplayLearner):
             obs2 = self.world.observe(state2)
             history.append(self.codec.obs_vec(obs2))
             if train:
+                ids.append(self.codec.frame_id(obs2))
                 sp_hist = self.codec.stack_history(history)
                 valid_after = self.space.valid_mask(obs2.visible_labels)
             atomic += 1
 
             goal_reached = self.world.is_goal_state(state2, g)
             subgoal_reached = self.space.is_achieved(self.world, state2, sg)
-            tr = Transition(
+            r_e = 1.0 if goal_reached else 0.0
+            r_i = 1.0 if subgoal_reached else 0.0
+            trace.transitions.append(Transition(
                 s_hist=s_hist,
                 sp_hist=sp_hist,
                 g=g,
                 sg=sg,
                 a=a,
-                r_e=1.0 if goal_reached else 0.0,
-                r_i=1.0 if subgoal_reached else 0.0,
+                r_e=r_e,
+                r_i=r_i,
                 goal_reached=goal_reached,
                 subgoal_reached=subgoal_reached,
                 valid_after=valid_after,
-            )
-            trace.transitions.append(tr)
+            ))
             trace.path.append(self.world.cell(state2.pose))
             state, obs, s_hist = state2, obs2, sp_hist
             if train:
-                self._push(tr)
+                self._push(frames=ids, g=g, sg=sg, a=a, r_e=r_e, r_i=r_i,
+                           goal_reached=goal_reached, subgoal_reached=subgoal_reached,
+                           valid_after=valid_after)
 
             if goal_reached:
                 trace.stop_reason = STOP_GOAL
@@ -668,15 +697,17 @@ class HiemAgent(ReplayLearner):
         if train:
             memo = q_row = None
             hist_vec = self.codec.stack_history(history)
+            ids = self.codec.new_frame_ids()
+            ids.append(self.codec.frame_id(obs))
         else:
             memo = FrameMemo()
             q_row = lambda: self._eval_high(memo, history, g)[0]
-            hist_vec = None
+            hist_vec = ids = None
         while not done:
             sg = self.propose_subgoal(hist_vec, g, obs.visible_labels, eps_h, rng, q_row)
             trace, state, obs, atomic, done, success = self.run_option(
                 state, obs, history, g, sg, mode, alpha, eps_l, rng, atomic,
-                max_atomic=max_atomic, s_hist=hist_vec, memo=memo,
+                max_atomic=max_atomic, s_hist=hist_vec, memo=memo, ids=ids,
             )
             record.options.append(trace)
             # the stacked history after the option's last step (None in eval)

@@ -22,6 +22,7 @@ from .agent import (
     STOP_EPISODE_CAP,
     STOP_GOAL,
     AnonymousOptionSpace,
+    Batch,
     FrameMemo,
     HiemAgent,
     HiemParams,
@@ -130,19 +131,11 @@ class RandomAgent:
                     lambda state: random_policy(rng))
 
 
-@dataclass
-class DqnTransition:
-    s_hist: np.ndarray
-    sp_hist: np.ndarray
-    g: int
-    a: int
-    r_e: float
-    goal_reached: bool
-
-
 class FlatDqnAgent(ReplayLearner):
     """Single Q(s, g, a) learner over the six atomic actions, extrinsic
-    rewards only, same observation encoding as the high-level net."""
+    rewards only, same observation encoding as the high-level net.  A
+    replay row holds the step's frame ids, `g`, `a`, `r_e` and
+    `goal_reached`."""
 
     def __init__(self, world: World, params: HiemParams, seed: int):
         super().__init__(world, params, seed)
@@ -157,21 +150,16 @@ class FlatDqnAgent(ReplayLearner):
         q = self.net.forward(self.codec.high_input(hist_vec, g))[0]
         return int(np.argmax(q))
 
-    def update(self, batch) -> float:
-        p = self.params
-        sp = np.stack([t.sp_hist for t in batch])
-        gs = np.array([t.g for t in batch])
-        q_sp = self.net_t.forward(self.codec.high_inputs(sp, gs))
-        v = q_sp.max(axis=1)
-        goal_reached = np.array([t.goal_reached for t in batch])
-        v = np.where(goal_reached, 0.0, v)
-        targets = np.array([t.r_e for t in batch]) + p.gamma * v
-        s = np.stack([t.s_hist for t in batch])
-        acts = np.array([t.a for t in batch])
-        return train_step(self.net, self.opt, self.codec.high_inputs(s, gs), acts, targets)
+    def update(self, batch: Batch) -> float:
+        q_sp = self.net_t.forward(self.codec.high_inputs(batch.sp_hist, batch.g))
+        v = np.where(batch.goal_reached, 0.0, q_sp.max(axis=1))
+        targets = batch.r_e + self.params.gamma * v
+        self._alarm(targets)
+        inputs = self.codec.high_inputs(batch.s_hist, batch.g)
+        return train_step(self.net, self.opt, inputs, batch.a, targets)
 
     def _train_round(self):
-        self.update(self.replay.sample(self.params.batch_size, self.rng))
+        self.update(self._batch_arrays(self.replay.sample(self.params.batch_size, self.rng)))
         self._round_done()
 
     def learners(self) -> list:
@@ -190,13 +178,16 @@ class FlatDqnAgent(ReplayLearner):
         g = spec.goal_label
         state, record = start_episode(world, spec)
         history = self.codec.new_history()
-        history.append(self.codec.obs_vec(world.observe(state)))
+        obs = world.observe(state)
+        history.append(self.codec.obs_vec(obs))
         eps = 0.0 if mode == "eval" else float(p.eps_low.value(episode_idx))
         max_atomic = min(p.max_atomic, spec.max_atomic_steps)
         trace = OptionTrace(sg=0, sg_name="dqn", behavior="low")
         success = world.is_goal_state(state, g)
         if train:
             hist_vec = self.codec.stack_history(history)
+            ids = self.codec.new_frame_ids()
+            ids.append(self.codec.frame_id(obs))
         else:
             memo = FrameMemo()
             greedy = lambda frames: self.act(self.codec.stack_history(frames), g, 0.0, rng)
@@ -206,20 +197,15 @@ class FlatDqnAgent(ReplayLearner):
             else:
                 a = memo.get("act", history, greedy)
             state, _ = world.step(state, a)
-            history.append(self.codec.obs_vec(world.observe(state)))
+            obs = world.observe(state)
+            history.append(self.codec.obs_vec(obs))
             success = world.is_goal_state(state, g)
             trace.path.append(world.cell(state.pose))
             if train:
-                sp_hist = self.codec.stack_history(history)
-                self._push(DqnTransition(
-                    s_hist=hist_vec,
-                    sp_hist=sp_hist,
-                    g=g,
-                    a=a,
-                    r_e=1.0 if success else 0.0,
-                    goal_reached=success,
-                ))
-                hist_vec = sp_hist
+                ids.append(self.codec.frame_id(obs))
+                hist_vec = self.codec.stack_history(history)
+                self._push(frames=ids, g=g, a=a, r_e=1.0 if success else 0.0,
+                           goal_reached=success)
             if trace.length >= max_atomic:
                 break
         trace.stop_reason = STOP_GOAL if success else STOP_EPISODE_CAP

@@ -12,6 +12,11 @@ frame of each `Observation` (the `World` shares one per pose), the zero
 frame that pads a new history, and the goal and sub-goal one-hots.  An
 eval query keys its memo of net outputs by the identities of these
 frames (`agent.FrameMemo`).
+
+Every frame is also a row of one table, `FeatureCodec.frames`, and its
+index there is the frame's id; id 0 is the zero frame.  Replay stores a
+transition's histories as frame ids and stacks them back into vectors
+when it samples.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from .gridworld import Observation, World
+from .gridworld import Heading, Observation, World
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -32,7 +37,13 @@ class FeatureCodec:
 
     `obs_vec`, `new_history`'s padding, `goal_onehot` and `subgoal_onehot`
     return shared read-only arrays, each computed once; `stack_history`
-    and the `*_input` methods return new arrays."""
+    and the `*_input` methods return new arrays.
+
+    `frames` holds every frame as one row, indexed by `frame_id`: row 0 is
+    the zero frame, and each `Observation` gets the next row on first use.
+    The table starts with one row per in-bounds pose, so a `World`'s
+    observations never outgrow it; past that it doubles, and the frames
+    handed out before keep the rows of the table they were cut from."""
 
     def __init__(self, world: World, n_subgoal_slots: int, history_len: int = 4):
         self.n_labels = world.n_labels
@@ -43,8 +54,10 @@ class FeatureCodec:
         self.frame_dim = (
             self.n_labels * self.fov_depth * self.fov_width + self.fov_width
         )
-        self._frames: dict[Observation, np.ndarray] = {}
-        self._zero_frame = _read_only(np.zeros(self.frame_dim))
+        grid = world.grid
+        self.frames = np.zeros((1 + grid.width * grid.height * len(Heading), self.frame_dim))
+        self._ids: dict[Observation, int] = {}
+        self._rows = [_read_only(self.frames[0])]  # the frame of each id
         self._goal_rows = tuple(_read_only(np.eye(self.n_labels)))
         self._subgoal_rows = tuple(_read_only(np.eye(self.n_subgoal_slots)))
 
@@ -60,20 +73,32 @@ class FeatureCodec:
     def low_int_dim(self) -> int:
         return self.frame_dim + self.n_subgoal_slots
 
-    def obs_vec(self, obs: Observation) -> np.ndarray:
-        """The observation's frame, read-only and computed once per
-        `Observation` object."""
-        out = self._frames.get(obs)
-        if out is None:
-            out = np.empty(self.frame_dim)
+    def frame_id(self, obs: Observation) -> int:
+        """The observation's row in `frames`, encoded on first use."""
+        i = self._ids.get(obs)
+        if i is None:
+            i = self._ids[obs] = len(self._rows)
+            if i == len(self.frames):
+                self.frames = np.concatenate([self.frames, np.zeros_like(self.frames)])
+            out = self.frames[i]
             nv = self.n_labels * self.fov_depth * self.fov_width
             out[:nv] = obs.visibility.ravel()
             out[nv:] = obs.depth / self.fov_depth
-            out = self._frames[obs] = _read_only(out)
-        return out
+            self._rows.append(_read_only(out))
+        return i
+
+    def obs_vec(self, obs: Observation) -> np.ndarray:
+        """The observation's frame, read-only and computed once per
+        `Observation` object."""
+        return self._rows[self.frame_id(obs)]
 
     def new_history(self) -> deque:
-        return deque([self._zero_frame] * self.history_len, maxlen=self.history_len)
+        return deque([self._rows[0]] * self.history_len, maxlen=self.history_len)
+
+    def new_frame_ids(self) -> deque:
+        """The ids of a new history's frames and of the frame after it:
+        `history_len + 1` slots, each holding the zero frame's id 0."""
+        return deque([0] * (self.history_len + 1), maxlen=self.history_len + 1)
 
     def stack_history(self, history: deque) -> np.ndarray:
         # oldest frame first, current frame last; read-only, so that

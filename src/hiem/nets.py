@@ -377,33 +377,50 @@ def clone_net(net):
 
 
 class ReplayBuffer:
-    """FIFO ring buffer with uniform with-replacement sampling."""
+    """FIFO ring store with uniform with-replacement sampling.
+
+    A row is a set of named fields, each a number or a fixed-shape array.
+    Each field is kept in one array of `capacity` rows, allocated at the
+    first push with that value's dtype and shape; a full store overwrites
+    its oldest row."""
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._storage: list = []
+        self._columns: dict[str, np.ndarray] = {}
+        self._size = 0
         self._cursor = 0
 
     def __len__(self):
-        return len(self._storage)
+        return self._size
 
-    def push(self, item) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(item)
-        else:
-            self._storage[self._cursor] = item
+    def push(self, **row) -> None:
+        if not self._columns:
+            self._columns = {
+                k: np.zeros((self.capacity, *np.shape(v)), dtype=np.asarray(v).dtype)
+                for k, v in row.items()
+            }
+        elif row.keys() != self._columns.keys():
+            raise ValueError(f"row fields {sorted(row)} differ from the store's "
+                             f"{sorted(self._columns)}")
+        for k, v in row.items():
+            self._columns[k][self._cursor] = v
         self._cursor = (self._cursor + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, n: int, rng: np.random.Generator) -> list:
-        if not self._storage:
+    def sample(self, n: int, rng: np.random.Generator) -> dict:
+        """`n` rows drawn uniformly with replacement, as {field: array
+        with one row per draw}."""
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._storage), size=n)
-        return [self._storage[i] for i in idx]
+        idx = rng.integers(0, self._size, size=n)
+        return {k: c[idx] for k, c in self._columns.items()}
 
-    def items(self):
-        return list(self._storage)
+    def columns(self) -> dict:
+        """Every stored row, as {field: copy of its array}, in slot order:
+        push order until the ring wraps."""
+        return {k: c[:self._size].copy() for k, c in self._columns.items()}
 
 
 # ----- schedules ------------------------------------------------------------

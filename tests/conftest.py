@@ -1,3 +1,10 @@
+import os
+
+# one BLAS thread for the test session, as `import hiem` sets it; this must
+# run before NumPy is first imported
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(var, "1")
+
 import numpy as np
 import pytest
 

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from hiem.agent import (
+    Batch,
     HiemAgent,
     LabelSubgoalSpace,
-    Transition,
     default_params,
 )
 from hiem.baselines import MethodConfig, OracleAgent, RandomAgent, build_agent
@@ -235,24 +235,22 @@ class TestCriterion4TerminationSign:
             )
             rng = np.random.default_rng(1000 + trial)
             hd = agent.codec.history_len * agent.codec.frame_dim
-            tr = Transition(
-                s_hist=rng.normal(size=hd),
-                sp_hist=rng.normal(size=hd),
-                g=int(rng.integers(bench15.n_labels)),
-                sg=int(rng.integers(bench15.n_labels)),
-                a=int(rng.integers(6)),
-                r_e=0.0,
-                r_i=0.0,
-                goal_reached=False,
-                subgoal_reached=False,
-                valid_after=np.ones(agent.space.n, dtype=bool),
-            )
-            x = agent.codec.high_input(tr.sp_hist, tr.g)
+            sp_hist = rng.normal(size=(1, hd))
+            g = int(rng.integers(bench15.n_labels))
+            x = agent.codec.high_input(sp_hist[0], g)
             q = agent.high_t.q_values(x)[0]
-            adv = q[tr.sg] - q.max()
-            before = agent.high.term_probs(x)[0, tr.sg]
-            agent.update_term(agent._batch_arrays([tr]))
-            after = agent.high.term_probs(x)[0, tr.sg]
+            # a sub-goal other than the argmax, so that the advantage, and
+            # with it the direction the update must move, is never zero
+            others = np.flatnonzero(np.arange(bench15.n_labels) != q.argmax())
+            sg = int(others[rng.integers(len(others))])
+            adv = q[sg] - q.max()
+            before = agent.high.term_probs(x)[0, sg]
+            agent.update_term(Batch(
+                sp_hist=sp_hist, g=np.array([g]), sg=np.array([sg]),
+                valid_after=np.ones((1, agent.space.n), dtype=bool),
+                goal_reached=np.array([False]),
+            ))
+            after = agent.high.term_probs(x)[0, sg]
             if adv < 0 and after > before:
                 strict += 1
             elif adv > 0 and after < before:

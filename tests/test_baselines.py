@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hiem.agent import AnonymousOptionSpace, HiemAgent, LabelSubgoalSpace, default_params
+from hiem.agent import (
+    AnonymousOptionSpace,
+    HiemAgent,
+    LabelSubgoalSpace,
+    ValueDriftError,
+    default_params,
+)
 from hiem.baselines import (
     METHODS,
     FlatDqnAgent,
@@ -174,17 +180,44 @@ goal_distance = 1
             start=AgentPose(1, 1, Heading.EAST), goal_label=0, max_atomic_steps=30
         )
         rec = agent.run_episode(spec, mode="train", episode_idx=0)
-        trs = agent.replay.items()
-        assert len(trs) == rec.atomic_steps == len(rec.options[0].path)
-        for prev, tr in zip(trs, trs[1:]):
-            assert tr.s_hist is prev.sp_hist
-        assert all(not t.s_hist.flags.writeable and not t.sp_hist.flags.writeable
-                   for t in trs)
+        rows = agent.replay.columns()
+        assert len(rows["a"]) == rec.atomic_steps == len(rec.options[0].path)
+        # consecutive rows share frame ids: s' of a step is s of the next
+        assert (rows["frames"][1:, :-1] == rows["frames"][:-1, 1:]).all()
+        assert sorted(rows) == ["a", "frames", "g", "goal_reached", "r_e"]
+        batch = agent._batch_arrays(rows)
+        codec = agent.codec
         s = State(spec.start)
-        for tr, p in zip(trs, rec.options[0].path):
-            s, _ = bench15.step(s, tr.a)
+        history = codec.new_history()
+        history.append(codec.obs_vec(bench15.observe(s)))
+        for i, (a, p) in enumerate(zip(rows["a"], rec.options[0].path)):
+            assert np.array_equal(batch.s_hist[i], codec.stack_history(history))
+            s, _ = bench15.step(s, a)
+            history.append(codec.obs_vec(bench15.observe(s)))
+            assert np.array_equal(batch.sp_hist[i], codec.stack_history(history))
             assert p == (s.pose.x, s.pose.y)
             assert p is bench15.cell(s.pose)
+        assert (rows["r_e"] == rows["goal_reached"]).all()
+        assert rows["goal_reached"].tolist() == [False] * (len(rows["a"]) - 1) + [rec.success]
+
+    def test_value_alarm_fires_past_the_warmup(self, bench15):
+        params = default_params(10, hidden=(8,), min_buffer=1_000, batch_size=4,
+                                alarm_warmup=3)
+        agent = FlatDqnAgent(bench15, params, seed=3)
+        spec = EpisodeSpec(
+            start=AgentPose(1, 1, Heading.EAST), goal_label=0, max_atomic_steps=30
+        )
+        agent.run_episode(spec, mode="train", episode_idx=0)
+        assert agent.train_rounds == 0 and len(agent.replay) > 0
+        # a target net whose every value is 50: targets of 0.99 * 50 where
+        # the goal is not reached, far over the 1.5 ceiling
+        agent.net_t.W[-1][...] = 0.0
+        agent.net_t.b[-1][...] = 50.0
+        for _ in range(4):  # rounds 0-3 are the warm-up
+            agent._train_round()
+        with pytest.raises(ValueDriftError, match="at train round 4"):
+            agent._train_round()
+        assert agent.train_rounds == 4
 
     def test_checkpoint_roundtrip_bitwise(self, bench15):
         params = default_params(10, hidden=(8,), min_buffer=8, batch_size=4)

@@ -5,7 +5,6 @@ and save unchanged, and optimizer state survives a save and a load.
 checkpoint code that came before one flat parameter vector per net, from
 `tiny_agent(kind, 0)` after `train_briefly`.
 """
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,6 @@ def _update(agent, batch):
     if isinstance(agent, FlatDqnAgent):
         agent.update(batch)
         return
-    batch = agent._batch_arrays(batch)
     agent.update_high(batch)
     agent.update_low_extrinsic(batch)
     agent.update_term(batch)
@@ -44,13 +42,15 @@ def _update(agent, batch):
 
 
 def _batch(agent, rng):
-    """A replay sample; for hiem relabelled with sub-goal 0, because early
-    training proposes the random sub-goal nearly always and the low-level
-    learners skip its transitions."""
-    batch = agent.replay.sample(16, rng)
-    if isinstance(agent, FlatDqnAgent):
-        return batch
-    return [replace(t, sg=0) for t in batch]
+    """A replay sample as a `Batch`; for hiem relabelled with sub-goal 0,
+    because early training proposes the random sub-goal nearly always and
+    the low-level learners skip its transitions.  The frame ids in replay
+    index the sampling agent's own frame table, so an agent restored from
+    a checkpoint learns from this `Batch`, not from the ids."""
+    rows = agent.replay.sample(16, rng)
+    if not isinstance(agent, FlatDqnAgent):
+        rows["sg"] = np.zeros_like(rows["sg"])
+    return agent._batch_arrays(rows)
 
 
 def train_briefly(agent, episodes=6, rounds=3):

@@ -8,7 +8,7 @@ import pytest
 
 from hiem.agent import AnonymousOptionSpace, LabelSubgoalSpace
 from hiem.features import FeatureCodec
-from hiem.gridworld import State
+from hiem.gridworld import Observation, State
 
 from test_gridworld import all_poses
 
@@ -98,3 +98,27 @@ def test_inputs_built_from_shared_arrays_are_fresh(bench15):
     x[:] = 7.0  # the caller's own array: the shared ones are untouched
     assert np.array_equal(codec.goal_onehot(1), np.eye(bench15.n_labels)[1])
     assert codec.subgoal_onehot(2)[2] == 1.0 and frame.max() <= 1.0
+
+
+def test_frame_ids_index_one_table_that_doubles_when_full(tabular5):
+    codec = FeatureCodec(tabular5, tabular5.n_labels + 1, history_len=2)
+    rows = len(codec.frames)
+    assert rows == 1 + len(all_poses(tabular5))
+    # the padding frame is the table's row 0, the zero frame's id
+    assert np.shares_memory(codec.new_history()[0], codec.frames[0])
+    rng = np.random.default_rng(0)
+    shape = (tabular5.n_labels, tabular5.fov_depth, tabular5.fov_width)
+    # more hand-made observations than the table has rows
+    views = [Observation(rng.integers(0, 2, size=shape, dtype=np.uint8),
+                         rng.integers(1, tabular5.fov_depth + 1, size=shape[2]),
+                         frozenset())
+             for _ in range(rows + 3)]
+    frames = [codec.obs_vec(obs) for obs in views]
+    assert [codec.frame_id(obs) for obs in views] == list(range(1, rows + 4))
+    assert len(codec.frames) == 2 * rows
+    assert not codec.frames[0].any()
+    for obs, frame in zip(views, frames):
+        assert codec.obs_vec(obs) is frame
+        assert np.array_equal(frame, fresh_frame(tabular5, obs))
+        assert np.array_equal(codec.frames[codec.frame_id(obs)], frame)
+        assert_read_only(frame)

@@ -6,6 +6,7 @@ import pytest
 from hiem import agent as agent_module
 from hiem.agent import (
     AnonymousOptionSpace,
+    Batch,
     HiemAgent,
     HiemParams,
     LabelSubgoalSpace,
@@ -23,6 +24,8 @@ from hiem.gridworld import Action, AgentPose, EpisodeSpec, Heading, N_ACTIONS, S
 from hiem.mapfile import parse_map_text
 from hiem.metrics import evaluate, sample_episode_specs
 from hiem.nets import ConstantSchedule
+
+from test_gridworld import all_poses
 
 CORRIDOR = """\
 [map]
@@ -207,12 +210,28 @@ def make_transition(ag, rng, sg=0, g=0, a=0, goal=False, sub=False):
     )
 
 
+def batch_of(transitions):
+    """Hand-made transitions as a `Batch`, one column per field."""
+    return Batch(**{f.name: np.array([getattr(t, f.name) for t in transitions])
+                    for f in dataclasses.fields(Transition)})
+
+
+def push_row(ag, rng, sg=0, g=0, a=0, goal=False, sub=False):
+    """One hand-made replay row, its frames those of random poses."""
+    poses = all_poses(ag.world)
+    picks = rng.integers(len(poses), size=ag.codec.history_len + 1)
+    frames = [ag.codec.frame_id(ag.world.observe(State(poses[i]))) for i in picks]
+    ag.replay.push(frames=frames, g=g, sg=sg, a=a, r_e=1.0 if goal else 0.0,
+                   r_i=1.0 if sub else 0.0, goal_reached=goal, subgoal_reached=sub,
+                   valid_after=np.ones(ag.space.n, dtype=bool))
+
+
 class TestUpdates:
     def test_goal_transition_target_is_one(self, bench15):
         ag = small_agent(bench15)
         rng = np.random.default_rng(0)
         batch = [make_transition(ag, rng, goal=True) for _ in range(4)]
-        assert (ag.extrinsic_targets(ag._batch_arrays(batch)) == 1.0).all()
+        assert (ag.extrinsic_targets(batch_of(batch)) == 1.0).all()
 
     def test_nongoal_term_zero_target_is_discounted_q(self, bench15):
         ag = small_agent(bench15)
@@ -220,7 +239,7 @@ class TestUpdates:
         rng = np.random.default_rng(1)
         tr = make_transition(ag, rng, sg=2)
         q = ag.high_t.q_values(ag.codec.high_input(tr.sp_hist, tr.g))[0]
-        target = ag.extrinsic_targets(ag._batch_arrays([tr]))[0]
+        target = ag.extrinsic_targets(batch_of([tr]))[0]
         assert target == pytest.approx(ag.params.gamma * q[2], abs=1e-12)
 
     def test_high_and_low_share_targets(self, bench15, monkeypatch):
@@ -231,7 +250,7 @@ class TestUpdates:
         rng = np.random.default_rng(2)
         for i in range(8):
             sg = ag.space.random_index if i % 2 else i % 3
-            ag.replay.push(make_transition(ag, rng, sg=sg, goal=i % 3 == 0))
+            push_row(ag, rng, sg=sg, goal=i % 3 == 0)
         seen = {}
 
         def capture(step):
@@ -254,7 +273,7 @@ class TestUpdates:
         ag = small_agent(bench15)
         rng = np.random.default_rng(3)
         for _ in range(4):
-            ag.replay.push(make_transition(ag, rng, sg=ag.space.random_index))
+            push_row(ag, rng, sg=ag.space.random_index)
         nets = {"low_ext": ag.low_ext.flat, "low_int": ag.low_int.flat,
                 "tW": ag.high.tW, "tb": ag.high.tb, "qW": ag.high.qW}
         before = {k: v.copy() for k, v in nets.items()}
@@ -269,7 +288,7 @@ class TestUpdates:
         ri = ag.space.random_index
         trs = [make_transition(ag, rng, sg=sg, a=i)
                for i, sg in enumerate([ri, 0, 2, ri, 1, ri, 2])]
-        b = ag._batch_arrays(trs)
+        b = batch_of(trs)
         assert len(b) == len(trs)
         low = ag._non_random(b)
         kept = [t for t in trs if t.sg != ri]
@@ -281,18 +300,18 @@ class TestUpdates:
         params = default_params(100, min_buffer=64, batch_size=16, hidden=(16,))
         ag = HiemAgent(bench15, AnonymousOptionSpace(3), params, 0)
         rng = np.random.default_rng(9)
-        b = ag._batch_arrays([make_transition(ag, rng, sg=i) for i in range(3)])
+        b = batch_of([make_transition(ag, rng, sg=i) for i in range(3)])
         assert ag._non_random(b) is b
 
     def test_round_builds_the_batch_once(self, bench15, monkeypatch):
         ag = small_agent(bench15)
         rng = np.random.default_rng(10)
         for i in range(4):
-            ag.replay.push(make_transition(ag, rng, sg=i % 3))
+            push_row(ag, rng, sg=i % 3)
         calls = []
         build = HiemAgent._batch_arrays
         monkeypatch.setattr(HiemAgent, "_batch_arrays",
-                            lambda self, trs: calls.append(1) or build(self, trs))
+                            lambda self, rows: calls.append(1) or build(self, rows))
         ag._train_round()
         assert len(calls) == 1
 
@@ -304,7 +323,7 @@ class TestUpdates:
         before = ag.low_int.forward(
             ag.codec.low_int_input(reached.s_hist[-ag.codec.frame_dim:], 1)
         )[0, reached.a]
-        loss = ag.update_low_intrinsic(ag._batch_arrays([reached]))
+        loss = ag.update_low_intrinsic(batch_of([reached]))
         assert loss == pytest.approx((before - 1.0) ** 2)
 
     def test_term_update_sign(self, bench15):
@@ -319,7 +338,7 @@ class TestUpdates:
             valid = np.ones(ag.space.n, dtype=bool)
             adv = q[1] - q.max()
             before = ag.high.term_probs(x)[0, 1]
-            ag.update_term(ag._batch_arrays([tr]))
+            ag.update_term(batch_of([tr]))
             after = ag.high.term_probs(x)[0, 1]
             if adv < 0:
                 assert after > before
@@ -334,7 +353,7 @@ class TestUpdates:
         ag.high_t.qW[...] = 0.0
         ag.high_t.qb[...] = 0.5
         before = [p.copy() for p in ag.high.params()]
-        ag.update_term(ag._batch_arrays([tr]))
+        ag.update_term(batch_of([tr]))
         for b, a in zip(before, ag.high.params()):
             assert (b == a).all()
 
@@ -346,7 +365,7 @@ class TestUpdates:
         ag.high_t.qb[...] = 50.0  # absurd bootstrap values
         ag.high_t.qW[...] = 0.0
         with pytest.raises(ValueDriftError):
-            ag.update_high(ag._batch_arrays([tr]))
+            ag.update_high(batch_of([tr]))
 
 
 class TestRunOption:
@@ -422,19 +441,86 @@ class TestRunOption:
         ag = small_agent(world)
         force_term(ag, 0)
         state, obs, history, g = self._setup(ag, world, x=1, heading=Heading.WEST)
+        ids = ag.codec.new_frame_ids()
+        ids.append(ag.codec.frame_id(obs))
         trace, *_ = ag.run_option(
             state, obs, history, g, sg=0, mode="train", alpha=0.0, eps_low=1.0,
-            rng=np.random.default_rng(0), atomic_so_far=0,
+            rng=np.random.default_rng(0), atomic_so_far=0, ids=ids,
         )
         trs = trace.transitions
         assert len(trs) == ag.params.max_low_level
-        assert ag.replay.items() == trs
+        # replay holds one row per step, and its rows unstack to the
+        # transitions' histories; consecutive rows share frame ids
+        stored = ag._batch_arrays(ag.replay.columns())
+        assert np.array_equal(stored.s_hist, np.stack([tr.s_hist for tr in trs]))
+        assert np.array_equal(stored.sp_hist, np.stack([tr.sp_hist for tr in trs]))
+        assert stored.a.tolist() == [tr.a for tr in trs]
+        frames = ag.replay.columns()["frames"]
+        assert (frames[1:, :-1] == frames[:-1, 1:]).all()
         for prev, tr in zip(trs, trs[1:]):
             assert tr.s_hist is prev.sp_hist
         for tr in trs:
             assert not tr.s_hist.flags.writeable and not tr.sp_hist.flags.writeable
             assert np.array_equal(tr.s_hist[ag.codec.frame_dim:],
                                   tr.sp_hist[:-ag.codec.frame_dim])
+
+
+def stacked_histories(ag, spec, actions):
+    """`np.stack` of the codec's `stack_history` before and after each
+    step, walking `actions` by hand from the spec's start."""
+    world, codec = ag.world, ag.codec
+    state = world.reset(spec)
+    history = codec.new_history()
+    history.append(codec.obs_vec(world.observe(state)))
+    before, after = [], []
+    for a in actions:
+        before.append(codec.stack_history(history))
+        state, _ = world.step(state, a)
+        history.append(codec.obs_vec(world.observe(state)))
+        after.append(codec.stack_history(history))
+    return np.stack(before), np.stack(after)
+
+
+class TestReplayStore:
+    """Replay keeps frame ids and scalars; a sample stacks the histories."""
+
+    def _train_episode(self, bench15):
+        # rounds train from step 64 on, while the episode still pushes
+        ag = small_agent(bench15)
+        spec = EpisodeSpec(start=AgentPose(7, 6, Heading.EAST),
+                           goal_label=bench15.label_names.index("tv"),
+                           max_atomic_steps=120)
+        rec = ag.run_episode(spec, mode="train", episode_idx=0)
+        return ag, spec, [t for o in rec.options for t in o.transitions]
+
+    def test_sample_equals_the_stacked_histories_column_by_column(self, bench15):
+        ag, spec, trs = self._train_episode(bench15)
+        assert len(ag.replay) == len(trs) > 50
+        s_hist, sp_hist = stacked_histories(ag, spec, [t.a for t in trs])
+        ref = batch_of(trs)
+        assert np.array_equal(ref.s_hist, s_hist) and np.array_equal(ref.sp_hist, sp_hist)
+        idx = np.random.default_rng(4).integers(0, len(trs), size=64)
+        got = ag._batch_arrays(ag.replay.sample(64, np.random.default_rng(4)))
+        assert sorted(vars(got)) == sorted(vars(ref))
+        for name, col in vars(ref).items():
+            want = col[idx]
+            assert getattr(got, name).dtype == want.dtype, name
+            assert np.array_equal(getattr(got, name), want), name
+
+    def test_store_holds_no_frame_vectors(self, bench15):
+        ag, _, trs = self._train_episode(bench15)
+        cols = ag.replay.columns()
+        n, L = len(trs), ag.params.history_len
+        assert {k: (c.dtype, c.shape) for k, c in cols.items()} == {
+            "frames": (np.int64, (n, L + 1)),
+            "g": (np.int64, (n,)), "sg": (np.int64, (n,)), "a": (np.int64, (n,)),
+            "r_e": (np.float64, (n,)), "r_i": (np.float64, (n,)),
+            "goal_reached": (np.bool_, (n,)), "subgoal_reached": (np.bool_, (n,)),
+            "valid_after": (np.bool_, (n, ag.space.n)),
+        }
+        assert not any(c.dtype.kind == "f" and c.ndim > 1 for c in cols.values())
+        # 8 * (5 ids + 5 scalars) + 2 flags + 7 mask bytes on bench15
+        assert sum(c.nbytes for c in cols.values()) == n * 89
 
 
 class TestRunEpisode:
@@ -542,13 +628,12 @@ goal_distance = 1
         spec = EpisodeSpec(start=AgentPose(1, 1, Heading.EAST), goal_label=0,
                            max_atomic_steps=40)
         ag.run_episode(spec, mode="train", episode_idx=0)
-        items = ag.replay.items()
-        assert items
-        for tr in items:
-            assert tr.r_e == (1.0 if tr.goal_reached else 0.0)
-            assert 0 <= tr.sg < ag.space.n
-            assert tr.g == 0
-            assert tr.valid_after[ag.space.random_index]
+        rows = ag.replay.columns()
+        assert len(ag.replay) > 0
+        assert (rows["r_e"] == np.where(rows["goal_reached"], 1.0, 0.0)).all()
+        assert ((0 <= rows["sg"]) & (rows["sg"] < ag.space.n)).all()
+        assert (rows["g"] == 0).all()
+        assert rows["valid_after"][:, ag.space.random_index].all()
 
 
 def reference_eval(ag, spec, rng):

@@ -297,14 +297,18 @@ class TestSyncTarget:
 class TestReplayBuffer:
     def test_single_item_sampled_repeatedly(self):
         buf = ReplayBuffer(4)
-        buf.push("a")
-        assert buf.sample(4, np.random.default_rng(0)) == ["a"] * 4
+        buf.push(x="a")
+        assert buf.sample(4, np.random.default_rng(0))["x"].tolist() == ["a"] * 4
 
     def test_fifo_eviction(self):
         buf = ReplayBuffer(5)
         for i in range(12):
-            buf.push(i)
-        assert sorted(buf.items()) == [7, 8, 9, 10, 11]
+            buf.push(x=i, y=2.0 * i)
+        cols = buf.columns()
+        assert len(buf) == 5
+        # slot order: rows 10 and 11 overwrote the two oldest slots
+        assert cols["x"].tolist() == [10, 11, 7, 8, 9]
+        assert cols["y"].tolist() == [20.0, 22.0, 14.0, 16.0, 18.0]
 
     def test_empty_sample_faults(self):
         with pytest.raises(ValueError):
@@ -313,19 +317,53 @@ class TestReplayBuffer:
     def test_seeded_sampling_reproducible(self):
         buf = ReplayBuffer(10)
         for i in range(10):
-            buf.push(i)
+            buf.push(x=i)
         a = buf.sample(6, np.random.default_rng(123))
         b = buf.sample(6, np.random.default_rng(123))
-        assert a == b
+        assert a["x"].tolist() == b["x"].tolist()
+
+    def test_sample_draws_the_rows_of_one_integers_call(self):
+        # the rng stream a list-backed buffer drew: one
+        # `rng.integers(0, len, size=n)` per sample, indexing slot order
+        buf = ReplayBuffer(8)
+        for i in range(13):
+            buf.push(x=i)
+        slots = buf.columns()["x"]
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (1, 6, 32):
+            rows = buf.sample(n, rng)
+            assert rows["x"].tolist() == slots[ref.integers(0, 8, size=n)].tolist()
+        assert rng.random() == ref.random()
+
+    def test_rows_keep_their_dtypes_and_shapes(self):
+        buf = ReplayBuffer(3)
+        for i in range(4):
+            buf.push(ids=(i, i + 1, i + 2), r=float(i), done=i % 2 == 1,
+                     mask=np.array([True, i > 1]))
+        cols = buf.columns()
+        assert {k: (c.dtype, c.shape) for k, c in cols.items()} == {
+            "ids": (np.int64, (3, 3)), "r": (np.float64, (3,)),
+            "done": (np.bool_, (3,)), "mask": (np.bool_, (3, 2)),
+        }
+        assert cols["ids"].tolist() == [[3, 4, 5], [1, 2, 3], [2, 3, 4]]
+        assert cols["mask"].tolist() == [[True, True], [True, False], [True, True]]
+
+    def test_row_with_other_fields_faults(self):
+        buf = ReplayBuffer(3)
+        buf.push(x=1, y=2)
+        with pytest.raises(ValueError):
+            buf.push(x=1)
+        with pytest.raises(ValueError):
+            buf.push(x=1, y=2, z=3)
 
     def test_sampling_uniform_chi_square(self):
         # 1e5 draws from 10 items: count deviations within 3 sigma
         buf = ReplayBuffer(10)
         for i in range(10):
-            buf.push(i)
+            buf.push(x=i)
         rng = np.random.default_rng(77)
         n = 100_000
-        draws = buf.sample(n, rng)
+        draws = buf.sample(n, rng)["x"]
         counts = np.bincount(draws, minlength=10)
         expect = n / 10
         sigma = np.sqrt(n * 0.1 * 0.9)
