@@ -19,7 +19,8 @@ Replay keeps each train step as one row of frame ids and scalars (see
 `ReplayLearner`).  A train round samples the replay once and turns the
 sample into one `Batch` of arrays.  The high Q learns from every row; the
 other three learners learn from its non-random subset, the rows not under
-the random sub-goal, taken once per round.
+the random sub-goal, taken once per round, and U on that subset is
+computed once for the low extrinsic and termination updates.
 """
 from __future__ import annotations
 
@@ -121,13 +122,10 @@ class AnonymousOptionSpace:
 
 @dataclass
 class Transition:
-    """One atomic step of an option's trace.  In train mode `s_hist` and
-    `sp_hist` are the stacked histories the agent acted on; replay keeps
-    the step as frame ids and scalars, not this object.  In eval mode only
-    the scalars are kept: `s_hist`, `sp_hist` and `valid_after` are None."""
+    """One atomic step of an option's trace, as scalars, in train and eval
+    mode alike.  Replay keeps a train step as frame ids and scalars (see
+    `ReplayLearner`), so a record holds no array."""
 
-    s_hist: Optional[np.ndarray]
-    sp_hist: Optional[np.ndarray]
     g: int
     sg: int
     a: int
@@ -135,13 +133,13 @@ class Transition:
     r_i: float
     goal_reached: bool
     subgoal_reached: bool
-    valid_after: Optional[np.ndarray]  # proposable-sub-goal mask at s'
 
 
 class Batch:
-    """A replay sample as arrays, one row per sampled step: the stacked
-    histories `s_hist` and `sp_hist` and the stored scalar fields (for
-    `HiemAgent`, those of `Transition`)."""
+    """A replay sample as arrays, one row per sampled step: `s_in` and
+    `sp_in`, the high nets' inputs at s and s' (stacked history, then the
+    goal one-hot; `n x high_dim`), and the stored scalar fields (for
+    `HiemAgent`, those of `Transition` and the `valid_after` mask)."""
 
     def __init__(self, **columns):
         self.__dict__.update(columns)
@@ -155,7 +153,7 @@ class OptionTrace:
     sg: int
     sg_name: str
     behavior: str  # "low" | "proxy" | "random"
-    # Transition per step, hiem only; eval-mode ones hold no arrays
+    # Transition per step, hiem only; scalars, no arrays
     transitions: list = field(default_factory=list)
     stop_reason: str = ""
     path: list = field(default_factory=list)  # (x, y) after each step
@@ -284,7 +282,8 @@ class ReplayLearner:
     Replay stores a train step as one row: `frames`, the ids of the
     `history_len + 1` frames from the oldest of s to the newest of s' in
     the codec's frame table, then the step's scalars and masks.  No
-    stacked history is stored; `_batch_arrays` rebuilds them."""
+    stacked history is stored; `_batch_arrays` builds the nets' inputs
+    from the ids."""
 
     def __init__(self, world: World, params: HiemParams, seed: int):
         self.world = world
@@ -307,15 +306,13 @@ class ReplayLearner:
             self._train_round()
 
     def _batch_arrays(self, rows: dict) -> Batch:
-        """Replay rows as one `Batch`.  One index into the codec's frame
-        table stacks each row's histories, `s_hist` from its first
-        `history_len` frame ids and `sp_hist` from its last: the floats of
-        `stack_history`, in the same order."""
-        ids = rows["frames"]
-        n = len(ids)
-        table = self.codec.frames
-        return Batch(s_hist=table[ids[:, :-1]].reshape(n, -1),
-                     sp_hist=table[ids[:, 1:]].reshape(n, -1),
+        """Replay rows as one `Batch`.  `s_in` and `sp_in` are built once
+        each from the codec's frame table, from each row's first and last
+        `history_len` frame ids: the floats of `high_input` on the
+        histories the agent acted on, in the same order."""
+        ids, g = rows["frames"], rows["g"]
+        return Batch(s_in=self.codec.high_inputs(ids[:, :-1], g),
+                     sp_in=self.codec.high_inputs(ids[:, 1:], g),
                      **{k: v for k, v in rows.items() if k != "frames"})
 
     def _alarm(self, values):
@@ -372,10 +369,11 @@ class HiemAgent(ReplayLearner):
 
     # -- policies ------------------------------------------------------------
 
-    def propose_subgoal(self, hist_vec, g, visible_labels, eps, rng, q_row=None) -> int:
+    def propose_subgoal(self, history, g, visible_labels, eps, rng, q_row=None) -> int:
         """Greedy (or eps-random) pick among the proposable sub-goals.  The
-        high net's Q row at `hist_vec` is computed only when the pick needs
-        it, or read from `q_row()` when given (an eval query's memo)."""
+        high net's Q row at `history` (a history deque or a stacked
+        history) is computed only when the pick needs it, or read from
+        `q_row()` when given (an eval query's memo)."""
         mask = self.space.valid_mask(visible_labels)
         valid = np.flatnonzero(mask)
         if len(valid) == 1:
@@ -383,7 +381,7 @@ class HiemAgent(ReplayLearner):
         if eps > 0 and rng.random() < eps:
             return int(valid[rng.integers(len(valid))])
         if q_row is None:
-            q = self.high.q_values(self.codec.high_input(hist_vec, g))[0]
+            q = self.high.q_values(self.codec.high_input(history, g))[0]
         else:
             q = q_row()
         q = np.where(mask, q, -np.inf)
@@ -407,18 +405,18 @@ class HiemAgent(ReplayLearner):
         q = self.low_int.forward(self.codec.low_int_input(frame, sg))[0]
         return int(np.argmax(q))
 
-    def term_prob(self, hist_vec, g, sg, use_target=False) -> float:
+    def term_prob(self, history, g, sg, use_target=False) -> float:
         net = self.high_t if use_target else self.high
-        return float(net.term_probs(self.codec.high_input(hist_vec, g))[0, sg])
+        return float(net.term_probs(self.codec.high_input(history, g))[0, sg])
 
     # -- bootstrap values ----------------------------------------------------
 
-    def _u_batch(self, sp_hist, gs, sgs, valid_after, goal_reached):
-        """U for each transition, on target networks, with the caching of
-        Qh(s') and V(s') shared with the termination update."""
-        inputs = self.codec.high_inputs(sp_hist, gs)
-        q_sp, term_sp = self.high_t.forward_both(inputs)
-        q_masked = np.where(valid_after, q_sp, -np.inf)
+    def _u_batch(self, batch: Batch):
+        """(U, Qh(s', sg), V(s')) for each row of `batch`, on the target
+        networks; the termination update reads the last two."""
+        sgs = batch.sg
+        q_sp, term_sp = self.high_t.forward_both(batch.sp_in)
+        q_masked = np.where(batch.valid_after, q_sp, -np.inf)
         v_sp = q_masked.max(axis=1)
         rows = np.arange(len(sgs))
         q_sg = q_sp[rows, sgs]
@@ -429,17 +427,16 @@ class HiemAgent(ReplayLearner):
             is_random = sgs == self.space.random_index
             t = np.where(is_random, 1.0, t)  # random option: re-plan value only
         u = (1.0 - t) * q_sg + t * v_sp
-        u = np.where(goal_reached, 0.0, u)
+        u = np.where(batch.goal_reached, 0.0, u)
         return u, q_sg, v_sp
 
     def compute_U(self, sp_hist, g, sg, valid_after, goal_reached=False) -> float:
-        u, _, _ = self._u_batch(
-            np.atleast_2d(sp_hist),
-            np.array([g]),
-            np.array([sg]),
-            np.atleast_2d(valid_after),
-            np.array([goal_reached]),
-        )
+        u, _, _ = self._u_batch(Batch(
+            sp_in=self.codec.high_input(sp_hist, g)[None],
+            sg=np.array([sg]),
+            valid_after=np.atleast_2d(valid_after),
+            goal_reached=np.array([goal_reached]),
+        ))
         return float(u[0])
 
     # -- update rules --------------------------------------------------------
@@ -459,54 +456,58 @@ class HiemAgent(ReplayLearner):
         keep = batch.sg != ri
         return Batch(**{k: v[keep] for k, v in vars(batch).items()})
 
-    def extrinsic_targets(self, batch: Batch) -> np.ndarray:
+    def extrinsic_targets(self, batch: Batch, u) -> np.ndarray:
         """The shared 1-step extrinsic return r_e + gamma * U used by both
-        the high-level and the low-level extrinsic updates."""
-        u, _, _ = self._u_batch(batch.sp_hist, batch.g, batch.sg,
-                                batch.valid_after, batch.goal_reached)
+        the high-level and the low-level extrinsic updates; `u` is the
+        first of `_u_batch(batch)`."""
         return batch.r_e + self.params.gamma * u
 
     def update_high(self, batch: Batch) -> float:
-        targets = self.extrinsic_targets(batch)
+        targets = self.extrinsic_targets(batch, self._u_batch(batch)[0])
         self._alarm(targets)
-        inputs = self.codec.high_inputs(batch.s_hist, batch.g)
-        return train_q_step(self.high, self.opt_high, inputs, batch.sg, targets)
+        return train_q_step(self.high, self.opt_high, batch.s_in, batch.sg, targets)
 
-    def update_low_extrinsic(self, batch: Batch) -> float:
-        targets = self.extrinsic_targets(batch)
+    def update_low_extrinsic(self, batch: Batch, boot) -> float:
+        """`boot` is `_u_batch(batch)`, shared with `update_term`."""
+        targets = self.extrinsic_targets(batch, boot[0])
         self._alarm(targets)
-        frames = batch.s_hist[:, -self.codec.frame_dim:]
+        frames = self.codec.current_frames(batch.s_in)
         inputs = self.codec.low_ext_inputs(frames, batch.g, batch.sg)
         return train_step(self.low_ext, self.opt_low_ext, inputs, batch.a, targets)
 
-    def update_term(self, batch: Batch) -> None:
-        _, q_sg, v_sp = self._u_batch(batch.sp_hist, batch.g, batch.sg,
-                                      batch.valid_after, batch.goal_reached)
-        inputs = self.codec.high_inputs(batch.sp_hist, batch.g)
-        train_term_step(self.high, self.opt_high, inputs, batch.sg, q_sg - v_sp)
+    def update_term(self, batch: Batch, boot) -> None:
+        """`boot` is `_u_batch(batch)`, shared with `update_low_extrinsic`."""
+        _, q_sg, v_sp = boot
+        train_term_step(self.high, self.opt_high, batch.sp_in, batch.sg, q_sg - v_sp)
 
     def update_low_intrinsic(self, batch: Batch) -> float:
-        frames_sp = batch.sp_hist[:, -self.codec.frame_dim:]
+        frames_sp = self.codec.current_frames(batch.sp_in)
         q_sp = self.low_int_t.forward(self.codec.low_int_inputs(frames_sp, batch.sg))
         v_i = np.where(batch.subgoal_reached | batch.goal_reached, 0.0, q_sp.max(axis=1))
         targets = batch.r_i + self.params.gamma * v_i
         self._alarm(targets)
-        frames = batch.s_hist[:, -self.codec.frame_dim:]
+        frames = self.codec.current_frames(batch.s_in)
         inputs = self.codec.low_int_inputs(frames, batch.sg)
         return train_step(self.low_int, self.opt_low_int, inputs, batch.a, targets)
 
     def _train_round(self):
         """One replay sample as one `Batch`: the high Q learns from every
-        row, the other three learners from the non-random subset."""
+        row, the other three learners from the non-random subset.  The
+        low extrinsic and termination updates share one U of that subset:
+        the same rows through the same target net, which neither update
+        trains."""
         p = self.params
         batch = self._batch_arrays(self.replay.sample(p.batch_size, self.rng))
         self.update_high(batch)
         low = self._non_random(batch)
         if len(low):
-            if p.force_alpha != 1:
-                self.update_low_extrinsic(low)
-            if not p.force_term_zero:
-                self.update_term(low)
+            extrinsic, term = p.force_alpha != 1, not p.force_term_zero
+            if extrinsic or term:
+                boot = self._u_batch(low)
+            if extrinsic:
+                self.update_low_extrinsic(low, boot)
+            if term:
+                self.update_term(low, boot)
             if self.space.has_intrinsic and p.force_alpha != 0:
                 self.update_low_intrinsic(low)
         self._round_done()
@@ -570,17 +571,16 @@ class HiemAgent(ReplayLearner):
         rng,
         atomic_so_far,
         max_atomic=None,
-        s_hist=None,
         memo=None,
         ids=None,
     ):
         """Execute one option.  Returns (trace, state, obs, atomic_steps_now,
         episode_done, success).  In train mode `ids` holds the frame ids of
         `history` and one slot before it (`FeatureCodec.new_frame_ids`),
-        kept in step with `history`, and `s_hist` is the stacked
-        `history`, when the caller has it already.  Eval mode is greedy
-        and reads net outputs from `memo`, the query's `FrameMemo` (a new
-        one when None); it stacks a history only on a memo miss.
+        kept in step with `history`; the termination draw reads the high
+        net's input straight from `history`.  Eval mode is greedy and
+        reads net outputs from `memo`, the query's `FrameMemo` (a new one
+        when None); it stacks a history only on a memo miss.
 
         After each step the option stops at the first of: the goal is
         reached, the episode's step cap is hit, the sub-goal is reached,
@@ -589,16 +589,11 @@ class HiemAgent(ReplayLearner):
         if max_atomic is None:
             max_atomic = p.max_atomic
         train = mode == "train"
-        if train:
-            if s_hist is None:
-                s_hist = self.codec.stack_history(history)
-        else:
+        if not train:
             if eps_low:
                 raise ValueError("eval mode is greedy: eps_low must be 0")
-            s_hist = None
             if memo is None:
                 memo = FrameMemo()
-        sp_hist = valid_after = None
         behavior = self._pick_behavior(sg, alpha, rng)
         trace = OptionTrace(sg=sg, sg_name=self.space.name(sg), behavior=behavior)
         atomic = atomic_so_far
@@ -619,8 +614,6 @@ class HiemAgent(ReplayLearner):
             history.append(self.codec.obs_vec(obs2))
             if train:
                 ids.append(self.codec.frame_id(obs2))
-                sp_hist = self.codec.stack_history(history)
-                valid_after = self.space.valid_mask(obs2.visible_labels)
             atomic += 1
 
             goal_reached = self.world.is_goal_state(state2, g)
@@ -628,8 +621,6 @@ class HiemAgent(ReplayLearner):
             r_e = 1.0 if goal_reached else 0.0
             r_i = 1.0 if subgoal_reached else 0.0
             trace.transitions.append(Transition(
-                s_hist=s_hist,
-                sp_hist=sp_hist,
                 g=g,
                 sg=sg,
                 a=a,
@@ -637,14 +628,13 @@ class HiemAgent(ReplayLearner):
                 r_i=r_i,
                 goal_reached=goal_reached,
                 subgoal_reached=subgoal_reached,
-                valid_after=valid_after,
             ))
             trace.path.append(self.world.cell(state2.pose))
-            state, obs, s_hist = state2, obs2, sp_hist
+            state, obs = state2, obs2
             if train:
                 self._push(frames=ids, g=g, sg=sg, a=a, r_e=r_e, r_i=r_i,
                            goal_reached=goal_reached, subgoal_reached=subgoal_reached,
-                           valid_after=valid_after)
+                           valid_after=self.space.valid_mask(obs2.visible_labels))
 
             if goal_reached:
                 trace.stop_reason = STOP_GOAL
@@ -662,7 +652,7 @@ class HiemAgent(ReplayLearner):
                 break
             if sg != self.space.random_index and not p.force_term_zero:
                 if train:
-                    tp = self.term_prob(sp_hist, g, sg)
+                    tp = self.term_prob(history, g, sg)
                     fire = rng.random() < tp
                 else:
                     tp = self._eval_high(memo, history, g)[1][sg]
@@ -696,22 +686,19 @@ class HiemAgent(ReplayLearner):
         success = done = self.world.is_goal_state(state, g)
         if train:
             memo = q_row = None
-            hist_vec = self.codec.stack_history(history)
             ids = self.codec.new_frame_ids()
             ids.append(self.codec.frame_id(obs))
         else:
             memo = FrameMemo()
             q_row = lambda: self._eval_high(memo, history, g)[0]
-            hist_vec = ids = None
+            ids = None
         while not done:
-            sg = self.propose_subgoal(hist_vec, g, obs.visible_labels, eps_h, rng, q_row)
+            sg = self.propose_subgoal(history, g, obs.visible_labels, eps_h, rng, q_row)
             trace, state, obs, atomic, done, success = self.run_option(
                 state, obs, history, g, sg, mode, alpha, eps_l, rng, atomic,
-                max_atomic=max_atomic, s_hist=hist_vec, memo=memo, ids=ids,
+                max_atomic=max_atomic, memo=memo, ids=ids,
             )
             record.options.append(trace)
-            # the stacked history after the option's last step (None in eval)
-            hist_vec = trace.transitions[-1].sp_hist
         if train:
             self.episodes_done += 1
         return record.close(success, atomic, p.gamma)

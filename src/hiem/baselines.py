@@ -144,19 +144,20 @@ class FlatDqnAgent(ReplayLearner):
         self.net_t = clone_net(self.net)
         self.opt = make_optimizer(params.optimizer, params.lr)
 
-    def act(self, hist_vec, g, eps, rng) -> int:
+    def act(self, history, g, eps, rng) -> int:
+        """Eps-greedy action at `history`, a history deque or a stacked
+        history; the net runs only on a greedy pick."""
         if eps > 0 and rng.random() < eps:
             return int(rng.integers(N_ACTIONS))
-        q = self.net.forward(self.codec.high_input(hist_vec, g))[0]
+        q = self.net.forward(self.codec.high_input(history, g))[0]
         return int(np.argmax(q))
 
     def update(self, batch: Batch) -> float:
-        q_sp = self.net_t.forward(self.codec.high_inputs(batch.sp_hist, batch.g))
+        q_sp = self.net_t.forward(batch.sp_in)
         v = np.where(batch.goal_reached, 0.0, q_sp.max(axis=1))
         targets = batch.r_e + self.params.gamma * v
         self._alarm(targets)
-        inputs = self.codec.high_inputs(batch.s_hist, batch.g)
-        return train_step(self.net, self.opt, inputs, batch.a, targets)
+        return train_step(self.net, self.opt, batch.s_in, batch.a, targets)
 
     def _train_round(self):
         self.update(self._batch_arrays(self.replay.sample(self.params.batch_size, self.rng)))
@@ -185,7 +186,6 @@ class FlatDqnAgent(ReplayLearner):
         trace = OptionTrace(sg=0, sg_name="dqn", behavior="low")
         success = world.is_goal_state(state, g)
         if train:
-            hist_vec = self.codec.stack_history(history)
             ids = self.codec.new_frame_ids()
             ids.append(self.codec.frame_id(obs))
         else:
@@ -193,7 +193,7 @@ class FlatDqnAgent(ReplayLearner):
             greedy = lambda frames: self.act(self.codec.stack_history(frames), g, 0.0, rng)
         while not success:
             if train:
-                a = self.act(hist_vec, g, eps, rng)
+                a = self.act(history, g, eps, rng)
             else:
                 a = memo.get("act", history, greedy)
             state, _ = world.step(state, a)
@@ -203,7 +203,6 @@ class FlatDqnAgent(ReplayLearner):
             trace.path.append(world.cell(state.pose))
             if train:
                 ids.append(self.codec.frame_id(obs))
-                hist_vec = self.codec.stack_history(history)
                 self._push(frames=ids, g=g, a=a, r_e=1.0 if success else 0.0,
                            goal_reached=success)
             if trace.length >= max_atomic:

@@ -15,8 +15,8 @@ frames (`agent.FrameMemo`).
 
 Every frame is also a row of one table, `FeatureCodec.frames`, and its
 index there is the frame's id; id 0 is the zero frame.  Replay stores a
-transition's histories as frame ids and stacks them back into vectors
-when it samples.
+transition's histories as frame ids, and `high_inputs` turns the ids of
+a sample into the high nets' input matrix.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ class FeatureCodec:
 
     `obs_vec`, `new_history`'s padding, `goal_onehot` and `subgoal_onehot`
     return shared read-only arrays, each computed once; `stack_history`
-    and the `*_input` methods return new arrays.
+    and the `*_input(s)` methods return new arrays.
 
     `frames` holds every frame as one row, indexed by `frame_id`: row 0 is
     the zero frame, and each `Observation` gets the next row on first use.
@@ -101,8 +101,8 @@ class FeatureCodec:
         return deque([0] * (self.history_len + 1), maxlen=self.history_len + 1)
 
     def stack_history(self, history: deque) -> np.ndarray:
-        # oldest frame first, current frame last; read-only, so that
-        # consecutive transitions can share one stacked history
+        """The history's frames in one new read-only vector, oldest frame
+        first and the current frame last."""
         out = np.concatenate(history)
         out.setflags(write=False)
         return out
@@ -113,8 +113,12 @@ class FeatureCodec:
     def subgoal_onehot(self, sg: int) -> np.ndarray:
         return self._subgoal_rows[sg]
 
-    def high_input(self, hist_vec: np.ndarray, g: int) -> np.ndarray:
-        return np.concatenate([hist_vec, self.goal_onehot(g)])
+    def high_input(self, history, g: int) -> np.ndarray:
+        """The high nets' input: the frames of `history`, a history deque or
+        a stacked history vector, then the goal one-hot.  A deque is read
+        frame by frame, so no stacked history is built on the way."""
+        frames = (history,) if isinstance(history, np.ndarray) else history
+        return np.concatenate((*frames, self.goal_onehot(g)))
 
     def low_ext_input(self, frame: np.ndarray, g: int, sg: int) -> np.ndarray:
         return np.concatenate([frame, self.goal_onehot(g), self.subgoal_onehot(sg)])
@@ -124,11 +128,22 @@ class FeatureCodec:
 
     # batched variants used by the update rules
 
-    def high_inputs(self, hist_mat: np.ndarray, gs: np.ndarray) -> np.ndarray:
-        n = hist_mat.shape[0]
-        goal = np.zeros((n, self.n_labels))
-        goal[np.arange(n), gs] = 1.0
-        return np.hstack([hist_mat, goal])
+    def high_inputs(self, ids: np.ndarray, gs: np.ndarray) -> np.ndarray:
+        """One high-net input per row of frame ids, oldest first, and goal,
+        in one new matrix: the floats `high_input` gives for the same
+        history and goal."""
+        n, k = ids.shape
+        end = k * self.frame_dim
+        out = np.zeros((n, end + self.n_labels))
+        out[:, :end] = self.frames[ids].reshape(n, end)
+        out[np.arange(n), end + gs] = 1.0
+        return out
+
+    def current_frames(self, inputs: np.ndarray) -> np.ndarray:
+        """The current frame of each row of a high-net input matrix, as a
+        view of its columns."""
+        end = self.history_len * self.frame_dim
+        return inputs[:, end - self.frame_dim:end]
 
     def low_ext_inputs(self, frames, gs, sgs) -> np.ndarray:
         n = frames.shape[0]

@@ -3,6 +3,7 @@ optimizers, target-network sync, replay buffer and decay schedules.
 
 Everything is float64 numpy.  Each net keeps all its parameters in one
 contiguous vector, `flat`; its weight and bias arrays are views into it.
+A trained net keeps its gradient the same way, in `grad`.
 Losses are mean squared error over the batch on the selected output head
 only.  A NaN/Inf parameter after an update is a hard fault.
 """
@@ -42,7 +43,14 @@ def _layer_shapes(sizes):
 class _FlatNet:
     """Base of the nets: every parameter is a view into one contiguous
     float64 vector, `flat`, laid out in params() order.  A subclass lists
-    the parameter shapes in `shapes()` and names the views in `_bind`."""
+    the parameter shapes in `shapes()` and names the views in `_bind`.
+
+    A trained net's gradient is one more vector in the same layout,
+    `grad`, allocated at its first backward; each backward overwrites it
+    through views shaped like params(), and the optimizer steps from it.
+    A target net runs no backward and has none."""
+
+    grad = None
 
     def _init_flat(self, rng):
         """Bind a zero vector, then draw the weight matrices from rng in
@@ -63,6 +71,14 @@ class _FlatNet:
 
     def params(self):
         return self.views(self.flat)
+
+    def _grad_views(self):
+        """`grad` as views shaped like params(); `grad` is allocated on the
+        first call."""
+        if self.grad is None:
+            self.grad = np.empty_like(self.flat)
+            self._gviews = self.views(self.grad)
+        return self._gviews
 
     @property
     def in_dim(self):
@@ -122,8 +138,8 @@ class Mlp(_FlatNet):
 
     def backward(self, grad_out: np.ndarray):
         """Gradients of sum(grad_out * output) w.r.t. params, using the
-        activations cached by the last forward.  Returns a list aligned with
-        params()."""
+        activations cached by the last forward, written into `grad`.
+        Returns `grad`'s views, aligned with params()."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         acts = self._cache
@@ -132,10 +148,10 @@ class Mlp(_FlatNet):
         if self.output == "sigmoid":
             y = acts[-1]
             g = g * y * (1.0 - y)
-        grads = [None] * (2 * n)
+        grads = self._grad_views()
         for i in range(n - 1, -1, -1):
-            grads[2 * i] = acts[i].T @ g
-            grads[2 * i + 1] = g.sum(axis=0)
+            np.matmul(acts[i].T, g, out=grads[2 * i])
+            g.sum(axis=0, out=grads[2 * i + 1])
             if i > 0:
                 g = g @ self.W[i].T
                 g = g * (acts[i] > 0)
@@ -191,52 +207,54 @@ class SharedTrunkNet(_FlatNet):
         h = self._trunk(x)
         return h @ self.qW + self.qb, sigmoid(h @ self.tW + self.tb)
 
-    def _trunk_backward(self, g_hidden):
+    def _trunk_backward(self, g, grads):
+        """Write the trunk's gradients for the hidden-layer gradient `g`
+        into `grads`, the trunk's views of `grad`."""
         acts = self._cache
-        grads = []
-        g = g_hidden
-        n = len(self.W)
-        tg = [None] * (2 * n)
-        for i in range(n - 1, -1, -1):
+        for i in range(len(self.W) - 1, -1, -1):
             g = g * (acts[i + 1] > 0)
-            tg[2 * i] = acts[i].T @ g
-            tg[2 * i + 1] = g.sum(axis=0)
+            np.matmul(acts[i].T, g, out=grads[2 * i])
+            g.sum(axis=0, out=grads[2 * i + 1])
             if i > 0:
                 g = g @ self.W[i].T
-        grads.extend(tg)
-        return grads
 
     def q_backward(self, grad_q):
-        """Param grads for sum(grad_q * q_values): trunk + q head; term head
-        grads are zero."""
-        h = self._cache[-1]
-        trunk = self._trunk_backward(np.asarray(grad_q) @ self.qW.T)
-        return trunk + [h.T @ grad_q, np.asarray(grad_q).sum(axis=0),
-                        np.zeros_like(self.tW), np.zeros_like(self.tb)]
+        """Param grads for sum(grad_q * q_values), written into `grad`:
+        trunk and Q head; the termination head's are zero.  Returns
+        `grad`'s views, aligned with params()."""
+        grad_q = np.asarray(grad_q)
+        *trunk, qW, qb, tW, tb = grads = self._grad_views()
+        self._trunk_backward(grad_q @ self.qW.T, trunk)
+        np.matmul(self._cache[-1].T, grad_q, out=qW)
+        grad_q.sum(axis=0, out=qb)
+        tW.fill(0.0)
+        tb.fill(0.0)
+        return grads
 
     def term_backward(self, grad_t, term_out):
-        """Param grads for sum(grad_t * term_probs): trunk + term head; the
-        q head grads are zero."""
-        h = self._cache[-1]
+        """Param grads for sum(grad_t * term_probs), written into `grad`:
+        trunk and termination head; the Q head's are zero.  Returns
+        `grad`'s views, aligned with params()."""
         gz = np.asarray(grad_t) * term_out * (1.0 - term_out)
-        trunk = self._trunk_backward(gz @ self.tW.T)
-        return trunk + [np.zeros_like(self.qW), np.zeros_like(self.qb),
-                        h.T @ gz, gz.sum(axis=0)]
+        *trunk, qW, qb, tW, tb = grads = self._grad_views()
+        self._trunk_backward(gz @ self.tW.T, trunk)
+        qW.fill(0.0)
+        qb.fill(0.0)
+        np.matmul(self._cache[-1].T, gz, out=tW)
+        gz.sum(axis=0, out=tb)
+        return grads
 
 
 # ----- optimizers -----------------------------------------------------------
-
-
-def _concat(grads, out=None):
-    return np.concatenate([g.ravel() for g in grads], out=out)
 
 
 class Sgd:
     def __init__(self, lr=1e-3):
         self.lr = float(lr)
 
-    def step(self, flat, grads):
-        flat -= self.lr * _concat(grads)
+    def step(self, flat, grad):
+        """Update a net's `flat` vector from its gradient vector `grad`."""
+        flat -= self.lr * grad
 
 
 class Adam:
@@ -252,23 +270,22 @@ class Adam:
         self.m = None
         self.v = None
         self.t = 0
-        # the concatenated gradient and one scratch vector, reused: a new
-        # vector the size of a net per step or per operation costs page faults
-        self._g = None
+        # one scratch vector, reused: a new vector the size of a net per
+        # step or per operation costs page faults
         self._w = None
 
-    def step(self, flat, grads):
-        """Update a net's `flat` vector from gradients aligned with its
-        params().  The step lr * mhat / (sqrt(vhat) + eps) is computed in
-        place, one operation at a time in the expression's order."""
-        if self._g is None:
-            self._g = np.empty_like(flat)
+    def step(self, flat, grad):
+        """Update a net's `flat` vector from its gradient vector `grad`
+        (the net's `grad`, in the same layout).  The step
+        lr * mhat / (sqrt(vhat) + eps) is computed in place, one operation
+        at a time in the expression's order, in the scratch vector and in
+        `grad`, which it overwrites once the moments have read it."""
+        if self._w is None:
             self._w = np.empty_like(flat)
-        g = _concat(grads, out=self._g)
-        w = self._w
         if self.m is None:
             self.m = np.zeros_like(flat)
             self.v = np.zeros_like(flat)
+        g, w = grad, self._w
         self.t += 1
         m, v, t = self.m, self.v, self.t
         m *= self.beta1
@@ -307,10 +324,10 @@ def _batch_inputs(inputs, indices, values, what):
     return inputs, indices, values
 
 
-def _step(net, optimizer, grads) -> None:
-    """One optimizer step on `net`; faults if it leaves a parameter
-    non-finite."""
-    optimizer.step(net.flat, grads)
+def _step(net, optimizer) -> None:
+    """One optimizer step on `net` from its `grad`; faults if it leaves a
+    parameter non-finite."""
+    optimizer.step(net.flat, net.grad)
     if not np.isfinite(net.flat).all():
         raise NumericsError(
             f"non-finite parameters after update in net with sizes {net.sizes}"
@@ -327,7 +344,8 @@ def _regression_step(net, optimizer, inputs, indices, targets, forward, backward
     loss = float(np.mean(err**2))
     grad_out = np.zeros_like(out)
     grad_out[rows, indices] = 2.0 * err / n
-    _step(net, optimizer, backward(grad_out))
+    backward(grad_out)
+    _step(net, optimizer)
     return loss
 
 
@@ -355,7 +373,8 @@ def train_term_step(net: SharedTrunkNet, optimizer, inputs, indices, advantages)
     n = inputs.shape[0]
     grad_t = np.zeros_like(term)
     grad_t[np.arange(n), indices] = advantages / n
-    _step(net, optimizer, net.term_backward(grad_t, term))
+    net.term_backward(grad_t, term)
+    _step(net, optimizer)
 
 
 def sync_target(online, target) -> None:
@@ -366,10 +385,12 @@ def sync_target(online, target) -> None:
 
 
 def clone_net(net):
-    """A twin of `net` with its own copy of the flat vector."""
+    """A twin of `net` with its own copy of the flat vector, and no
+    gradient vector."""
     twin = copy.copy(net)
     twin._bind(net.flat.copy())
     twin._cache = None
+    twin.grad = None
     return twin
 
 

@@ -135,7 +135,7 @@ class TestCriterion2TabularOracle:
             q = q_new
         return q
 
-    def _learn(self, goal, nxt, achieved, seed, gamma=0.99, steps=20_000):
+    def _learn(self, goal, nxt, achieved, seed, gamma=0.99, steps=80_000):
         """1-step bootstrapped Q-learning with one-hot features and a target
         network -- the same update shape the function-approximation learners
         use, with `achieved` deciding where the next-state value is zeroed."""
@@ -245,11 +245,12 @@ class TestCriterion4TerminationSign:
             sg = int(others[rng.integers(len(others))])
             adv = q[sg] - q.max()
             before = agent.high.term_probs(x)[0, sg]
-            agent.update_term(Batch(
-                sp_hist=sp_hist, g=np.array([g]), sg=np.array([sg]),
+            batch = Batch(
+                sp_in=x[None], g=np.array([g]), sg=np.array([sg]),
                 valid_after=np.ones((1, agent.space.n), dtype=bool),
                 goal_reached=np.array([False]),
-            ))
+            )
+            agent.update_term(batch, agent._u_batch(batch))
             after = agent.high.term_probs(x)[0, sg]
             if adv < 0 and after > before:
                 strict += 1

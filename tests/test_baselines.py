@@ -190,11 +190,12 @@ goal_distance = 1
         s = State(spec.start)
         history = codec.new_history()
         history.append(codec.obs_vec(bench15.observe(s)))
+        high_input = lambda: codec.high_input(codec.stack_history(history), spec.goal_label)
         for i, (a, p) in enumerate(zip(rows["a"], rec.options[0].path)):
-            assert np.array_equal(batch.s_hist[i], codec.stack_history(history))
+            assert np.array_equal(batch.s_in[i], high_input())
             s, _ = bench15.step(s, a)
             history.append(codec.obs_vec(bench15.observe(s)))
-            assert np.array_equal(batch.sp_hist[i], codec.stack_history(history))
+            assert np.array_equal(batch.sp_in[i], high_input())
             assert p == (s.pose.x, s.pose.y)
             assert p is bench15.cell(s.pose)
         assert (rows["r_e"] == rows["goal_reached"]).all()

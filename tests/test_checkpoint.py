@@ -36,8 +36,9 @@ def _update(agent, batch):
         agent.update(batch)
         return
     agent.update_high(batch)
-    agent.update_low_extrinsic(batch)
-    agent.update_term(batch)
+    boot = agent._u_batch(batch)
+    agent.update_low_extrinsic(batch, boot)
+    agent.update_term(batch, boot)
     agent.update_low_intrinsic(batch)
 
 

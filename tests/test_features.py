@@ -122,3 +122,22 @@ def test_frame_ids_index_one_table_that_doubles_when_full(tabular5):
         assert np.array_equal(frame, fresh_frame(tabular5, obs))
         assert np.array_equal(codec.frames[codec.frame_id(obs)], frame)
         assert_read_only(frame)
+
+
+def test_high_inputs_from_a_deque_a_stack_or_frame_ids_agree(bench15):
+    codec = FeatureCodec(bench15, bench15.n_labels + 1, history_len=3)
+    poses = all_poses(bench15)
+    history, ids, rows = codec.new_history(), [0, 0, 0], []
+    for i, g in zip((5, 40, 41, 90), (0, 3, 3, 5)):
+        obs = bench15.observe(State(poses[i]))
+        history.append(codec.obs_vec(obs))
+        ids = ids[1:] + [codec.frame_id(obs)]
+        x = codec.high_input(history, g)
+        assert x.shape == (codec.high_dim,)
+        assert np.array_equal(x, codec.high_input(codec.stack_history(history), g))
+        rows.append((list(ids), g, x))
+    mat = codec.high_inputs(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+    assert np.array_equal(mat, np.stack([r[2] for r in rows]))
+    cur = codec.current_frames(mat)
+    assert np.shares_memory(cur, mat)
+    assert np.array_equal(cur, np.stack([codec.frames[r[0][-1]] for r in rows]))

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,10 +196,12 @@ class TestComputeU:
 
 
 def make_transition(ag, rng, sg=0, g=0, a=0, goal=False, sub=False):
+    """One hand-made `Batch` row: the high-net inputs at s and s' of two
+    random histories, and the stored scalars and mask."""
     hd = ag.codec.history_len * ag.codec.frame_dim
-    return Transition(
-        s_hist=rng.normal(size=hd),
-        sp_hist=rng.normal(size=hd),
+    return SimpleNamespace(
+        s_in=ag.codec.high_input(rng.normal(size=hd), g),
+        sp_in=ag.codec.high_input(rng.normal(size=hd), g),
         g=g,
         sg=sg,
         a=a,
@@ -210,10 +213,9 @@ def make_transition(ag, rng, sg=0, g=0, a=0, goal=False, sub=False):
     )
 
 
-def batch_of(transitions):
-    """Hand-made transitions as a `Batch`, one column per field."""
-    return Batch(**{f.name: np.array([getattr(t, f.name) for t in transitions])
-                    for f in dataclasses.fields(Transition)})
+def batch_of(rows):
+    """Hand-made rows as a `Batch`, one column per field."""
+    return Batch(**{k: np.array([getattr(r, k) for r in rows]) for k in vars(rows[0])})
 
 
 def push_row(ag, rng, sg=0, g=0, a=0, goal=False, sub=False):
@@ -230,16 +232,17 @@ class TestUpdates:
     def test_goal_transition_target_is_one(self, bench15):
         ag = small_agent(bench15)
         rng = np.random.default_rng(0)
-        batch = [make_transition(ag, rng, goal=True) for _ in range(4)]
-        assert (ag.extrinsic_targets(batch_of(batch)) == 1.0).all()
+        batch = batch_of([make_transition(ag, rng, goal=True) for _ in range(4)])
+        assert (ag.extrinsic_targets(batch, ag._u_batch(batch)[0]) == 1.0).all()
 
     def test_nongoal_term_zero_target_is_discounted_q(self, bench15):
         ag = small_agent(bench15)
         force_term(ag, 0)
         rng = np.random.default_rng(1)
         tr = make_transition(ag, rng, sg=2)
-        q = ag.high_t.q_values(ag.codec.high_input(tr.sp_hist, tr.g))[0]
-        target = ag.extrinsic_targets(batch_of([tr]))[0]
+        q = ag.high_t.q_values(tr.sp_in)[0]
+        batch = batch_of([tr])
+        target = ag.extrinsic_targets(batch, ag._u_batch(batch)[0])[0]
         assert target == pytest.approx(ag.params.gamma * q[2], abs=1e-12)
 
     def test_high_and_low_share_targets(self, bench15, monkeypatch):
@@ -294,7 +297,8 @@ class TestUpdates:
         kept = [t for t in trs if t.sg != ri]
         assert len(low) == len(kept)
         assert low.a.tolist() == [t.a for t in kept]
-        assert (low.s_hist == np.stack([t.s_hist for t in kept])).all()
+        assert (low.s_in == np.stack([t.s_in for t in kept])).all()
+        assert (low.sp_in == np.stack([t.sp_in for t in kept])).all()
 
     def test_non_random_is_the_batch_without_a_random_subgoal(self, bench15):
         params = default_params(100, min_buffer=64, batch_size=16, hidden=(16,))
@@ -315,13 +319,30 @@ class TestUpdates:
         ag._train_round()
         assert len(calls) == 1
 
+    def test_round_computes_u_once_per_side(self, bench15, monkeypatch):
+        # the high update's U on the whole batch, then one U of the
+        # non-random subset that the low extrinsic and termination
+        # updates share
+        ag = small_agent(bench15)
+        assert ag.params.force_alpha is None and not ag.params.force_term_zero
+        rng = np.random.default_rng(11)
+        for i in range(4):
+            push_row(ag, rng, sg=i % 3)
+        rows = []
+        u_batch = HiemAgent._u_batch
+        monkeypatch.setattr(HiemAgent, "_u_batch",
+                            lambda self, b: rows.append(len(b)) or u_batch(self, b))
+        ag._train_round()
+        assert rows == [ag.params.batch_size, ag.params.batch_size]
+
     def test_intrinsic_target_uses_max_and_zeroes_on_achievement(self, bench15):
         ag = small_agent(bench15)
         rng = np.random.default_rng(4)
         reached = make_transition(ag, rng, sg=1, sub=True)
         # loss on a single achieved transition regresses toward exactly 1
+        hd = ag.codec.history_len * ag.codec.frame_dim
         before = ag.low_int.forward(
-            ag.codec.low_int_input(reached.s_hist[-ag.codec.frame_dim:], 1)
+            ag.codec.low_int_input(reached.s_in[hd - ag.codec.frame_dim:hd], 1)
         )[0, reached.a]
         loss = ag.update_low_intrinsic(batch_of([reached]))
         assert loss == pytest.approx((before - 1.0) ** 2)
@@ -333,12 +354,12 @@ class TestUpdates:
             ag = small_agent(bench15, seed=trial, optimizer="sgd", lr=1e-3)
             rng = np.random.default_rng(trial)
             tr = make_transition(ag, rng, sg=1)
-            x = ag.codec.high_input(tr.sp_hist, tr.g)
+            x = tr.sp_in
             q = ag.high_t.q_values(x)[0]
-            valid = np.ones(ag.space.n, dtype=bool)
             adv = q[1] - q.max()
             before = ag.high.term_probs(x)[0, 1]
-            ag.update_term(batch_of([tr]))
+            batch = batch_of([tr])
+            ag.update_term(batch, ag._u_batch(batch))
             after = ag.high.term_probs(x)[0, 1]
             if adv < 0:
                 assert after > before
@@ -353,7 +374,8 @@ class TestUpdates:
         ag.high_t.qW[...] = 0.0
         ag.high_t.qb[...] = 0.5
         before = [p.copy() for p in ag.high.params()]
-        ag.update_term(batch_of([tr]))
+        batch = batch_of([tr])
+        ag.update_term(batch, ag._u_batch(batch))
         for b, a in zip(before, ag.high.params()):
             assert (b == a).all()
 
@@ -449,40 +471,43 @@ class TestRunOption:
         )
         trs = trace.transitions
         assert len(trs) == ag.params.max_low_level
-        # replay holds one row per step, and its rows unstack to the
-        # transitions' histories; consecutive rows share frame ids
+        # replay holds one row per step, and its rows give the high-net
+        # inputs of the histories walked; consecutive rows share frame ids
         stored = ag._batch_arrays(ag.replay.columns())
-        assert np.array_equal(stored.s_hist, np.stack([tr.s_hist for tr in trs]))
-        assert np.array_equal(stored.sp_hist, np.stack([tr.sp_hist for tr in trs]))
+        spec = EpisodeSpec(start=AgentPose(1, 1, Heading.WEST), goal_label=g)
+        walked = walked_inputs(ag, spec, [tr.a for tr in trs])
+        assert np.array_equal(stored.s_in, walked.s_in)
+        assert np.array_equal(stored.sp_in, walked.sp_in)
         assert stored.a.tolist() == [tr.a for tr in trs]
         frames = ag.replay.columns()["frames"]
         assert (frames[1:, :-1] == frames[:-1, 1:]).all()
-        for prev, tr in zip(trs, trs[1:]):
-            assert tr.s_hist is prev.sp_hist
-        for tr in trs:
-            assert not tr.s_hist.flags.writeable and not tr.sp_hist.flags.writeable
-            assert np.array_equal(tr.s_hist[ag.codec.frame_dim:],
-                                  tr.sp_hist[:-ag.codec.frame_dim])
+        assert np.array_equal(stored.s_in[1:], stored.sp_in[:-1])
 
 
-def stacked_histories(ag, spec, actions):
-    """`np.stack` of the codec's `stack_history` before and after each
-    step, walking `actions` by hand from the spec's start."""
-    world, codec = ag.world, ag.codec
+def walked_inputs(ag, spec, actions):
+    """Walk `actions` by hand from the spec's start.  Returns, one row per
+    step, `s_in` and `sp_in`, the codec's `high_input` of the stacked
+    history before and after the step, and `valid_after`, the mask of
+    sub-goals proposable after it."""
+    world, codec, g = ag.world, ag.codec, spec.goal_label
     state = world.reset(spec)
     history = codec.new_history()
     history.append(codec.obs_vec(world.observe(state)))
-    before, after = [], []
+    before, after, valid = [], [], []
     for a in actions:
-        before.append(codec.stack_history(history))
+        before.append(codec.high_input(codec.stack_history(history), g))
         state, _ = world.step(state, a)
-        history.append(codec.obs_vec(world.observe(state)))
-        after.append(codec.stack_history(history))
-    return np.stack(before), np.stack(after)
+        obs = world.observe(state)
+        history.append(codec.obs_vec(obs))
+        after.append(codec.high_input(codec.stack_history(history), g))
+        valid.append(ag.space.valid_mask(obs.visible_labels))
+    return SimpleNamespace(s_in=np.stack(before), sp_in=np.stack(after),
+                           valid_after=np.stack(valid))
 
 
 class TestReplayStore:
-    """Replay keeps frame ids and scalars; a sample stacks the histories."""
+    """Replay keeps frame ids and scalars; a sample builds the high-net
+    inputs from the ids."""
 
     def _train_episode(self, bench15):
         # rounds train from step 64 on, while the episode still pushes
@@ -491,14 +516,15 @@ class TestReplayStore:
                            goal_label=bench15.label_names.index("tv"),
                            max_atomic_steps=120)
         rec = ag.run_episode(spec, mode="train", episode_idx=0)
-        return ag, spec, [t for o in rec.options for t in o.transitions]
+        return ag, spec, [t for o in rec.options for t in o.transitions], rec
 
     def test_sample_equals_the_stacked_histories_column_by_column(self, bench15):
-        ag, spec, trs = self._train_episode(bench15)
+        ag, spec, trs, _ = self._train_episode(bench15)
         assert len(ag.replay) == len(trs) > 50
-        s_hist, sp_hist = stacked_histories(ag, spec, [t.a for t in trs])
-        ref = batch_of(trs)
-        assert np.array_equal(ref.s_hist, s_hist) and np.array_equal(ref.sp_hist, sp_hist)
+        walked = walked_inputs(ag, spec, [t.a for t in trs])
+        ref = Batch(**vars(walked), **{
+            f.name: np.array([getattr(t, f.name) for t in trs])
+            for f in dataclasses.fields(Transition)})
         idx = np.random.default_rng(4).integers(0, len(trs), size=64)
         got = ag._batch_arrays(ag.replay.sample(64, np.random.default_rng(4)))
         assert sorted(vars(got)) == sorted(vars(ref))
@@ -507,8 +533,18 @@ class TestReplayStore:
             assert getattr(got, name).dtype == want.dtype, name
             assert np.array_equal(getattr(got, name), want), name
 
+    def test_train_records_hold_no_arrays(self, bench15):
+        _, _, trs, rec = self._train_episode(bench15)
+        assert len(trs) == rec.atomic_steps > 50
+        values = [*vars(rec).values()]
+        for o in rec.options:
+            values += [*vars(o).values(), *o.path]
+            for t in o.transitions:
+                values += vars(t).values()
+        assert not any(isinstance(v, np.ndarray) for v in values)
+
     def test_store_holds_no_frame_vectors(self, bench15):
-        ag, _, trs = self._train_episode(bench15)
+        ag, _, trs, _ = self._train_episode(bench15)
         cols = ag.replay.columns()
         n, L = len(trs), ag.params.history_len
         assert {k: (c.dtype, c.shape) for k, c in cols.items()} == {

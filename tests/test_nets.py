@@ -146,6 +146,39 @@ class TestGradients:
             assert rel_err(a, n) < 1e-4
 
 
+    def test_each_head_backward_zeroes_the_other_head(self):
+        rng = np.random.default_rng(3)
+        net = SharedTrunkNet(7, [8, 6], 4, rng)
+        x = rng.normal(size=(3, 7))
+        gout = rng.normal(size=(3, 4))
+        # alternate, so that each call overwrites what the other wrote
+        for _ in range(2):
+            term = net.term_probs(x)
+            *_, qW, qb, tW, tb = net.term_backward(gout, term)
+            assert (qW == 0).all() and (qb == 0).all()
+            assert (tW != 0).any() and (tb != 0).any()
+            net.q_values(x)
+            *_, qW, qb, tW, tb = net.q_backward(gout)
+            assert (tW == 0).all() and (tb == 0).all()
+            assert (qW != 0).any() and (qb != 0).any()
+
+    def test_gradients_are_views_of_one_vector(self):
+        for net in _nets(4):
+            assert net.grad is None
+            x = np.ones((2, net.in_dim))
+            if isinstance(net, SharedTrunkNet):
+                net.q_values(x)
+                grads = net.q_backward(np.ones((2, net.out_dim)))
+            else:
+                net.forward(x)
+                grads = net.backward(np.ones((2, net.out_dim)))
+            assert net.grad.shape == net.flat.shape
+            assert [g.shape for g in grads] == net.shapes()
+            assert all(np.shares_memory(g, net.grad) for g in grads)
+            assert (np.concatenate([g.ravel() for g in grads]) == net.grad).all()
+            assert clone_net(net).grad is None
+
+
 class TestTrainStep:
     def test_hand_checked_scalar_sgd(self):
         # y = w*x, x=1, target=1, w=0, lr=0.1: d/dw (1-w)^2 = -2 -> w = 0.2
@@ -249,10 +282,21 @@ class TestFlatParameters:
             expected = _reference_adam(net.params(), grads_seq)
             opt = Adam()
             for grads in grads_seq:
-                opt.step(net.flat, grads)
+                opt.step(net.flat, np.concatenate([g.ravel() for g in grads]))
             assert opt.t == 5 and opt.m.shape == opt.v.shape == net.flat.shape
             for got, want in zip(net.params(), expected):
                 assert got.tobytes() == want.tobytes()
+
+    def test_train_steps_reuse_one_gradient_vector(self):
+        rng = np.random.default_rng(24)
+        for net in _nets(24):
+            target = clone_net(net)
+            x = rng.normal(size=(4, 5))
+            step = train_step if isinstance(net, Mlp) else train_q_step
+            step(net, Adam(), x, [0, 1, 2, 0], rng.normal(size=4))
+            grad = net.grad
+            step(net, Sgd(0.1), x, [0, 1, 2, 0], rng.normal(size=4))
+            assert net.grad is grad and target.grad is None
 
     def test_clone_owns_its_vector(self):
         for net in _nets(23):
